@@ -61,7 +61,8 @@ struct Fixture {
 int main(int argc, char** argv) {
   JsonReporter json(argc, argv);
   Fixture fx;
-  const uint64_t n = 4096 << ScaleShift();
+  const int shift = ScaleShift();
+  const uint64_t n = shift < 0 ? 4096 >> -shift : 4096 << shift;
   std::vector<ClientTransaction> txs = fx.Workload(n);
 
   Header("Parallel append pipeline: aggregate TPS (256B journals)");
@@ -253,10 +254,14 @@ int main(int argc, char** argv) {
       }
     });
     double commit_secs = TimeSeconds([&] {
+      std::vector<uint64_t> jsns;
+      std::vector<Status> statuses;
       for (size_t i = 0; i < txs.size(); ++i) {
-        uint64_t jsn = 0;
-        if (!ledger.CommitPrevalidated(std::move(prevalidated[i]), &jsn)
-                 .ok()) {
+        std::vector<Ledger::PrevalidatedTx> group(1);
+        group[0] = std::move(prevalidated[i]);
+        if (!ledger.CommitPrevalidatedGroup(std::move(group), &jsns, &statuses)
+                 .ok() ||
+            !statuses[0].ok()) {
           std::abort();
         }
       }

@@ -392,46 +392,15 @@ void Ledger::PrevalidateBatch(std::span<const ClientTransaction* const> txs,
   }
 }
 
-Status Ledger::CommitPrevalidated(PrevalidatedTx&& prevalidated,
-                                  uint64_t* jsn) {
-  // Idempotent append: a resubmission of an already-committed transaction
-  // (same signer, nonce and request hash — e.g. a client retrying after a
-  // lost response) converges on the original jsn instead of appending a
-  // duplicate. A *different* transaction reusing a nonce is an error. The
-  // check runs here, on the committer thread, so concurrent const
-  // Prevalidate calls never race the map.
-  LEDGERDB_OBS_SPAN(span, obs::stages::kCommit);
-  const Journal& journal = prevalidated.journal;
-  if (journal.client_key.valid()) {
-    auto signer = dedup_.find(journal.client_key.Id().ToHex());
-    if (signer != dedup_.end()) {
-      auto hit = signer->second.find(journal.nonce);
-      if (hit != signer->second.end()) {
-        if (hit->second.request_hash == journal.request_hash) {
-          if (jsn != nullptr) *jsn = hit->second.jsn;
-          LEDGERDB_OBS_COUNT(obs::names::kLedgerDedupHitsTotal);
-          return Status::OK();
-        }
-        LEDGERDB_OBS_COUNT(obs::names::kLedgerAppendFailuresTotal);
-        return Status::AlreadyExists(
-            "nonce already used by a different transaction");
-      }
-    }
-  }
-  prevalidated.journal.server_ts = StampServerTime();
-  Status status = CommitJournal(std::move(prevalidated.journal), jsn);
-  if (status.ok()) {
-    LEDGERDB_OBS_COUNT(obs::names::kLedgerAppendsTotal);
-  } else {
-    LEDGERDB_OBS_COUNT(obs::names::kLedgerAppendFailuresTotal);
-  }
-  return status;
-}
-
 Status Ledger::Append(const ClientTransaction& tx, uint64_t* jsn) {
-  PrevalidatedTx prevalidated;
-  LEDGERDB_RETURN_IF_ERROR(Prevalidate(tx, &prevalidated));
-  return CommitPrevalidated(std::move(prevalidated), jsn);
+  std::vector<PrevalidatedTx> group(1);
+  LEDGERDB_RETURN_IF_ERROR(Prevalidate(tx, &group[0]));
+  std::vector<uint64_t> jsns;
+  std::vector<Status> statuses;
+  Status status = CommitPrevalidatedGroup(std::move(group), &jsns, &statuses);
+  if (!statuses[0].ok()) return statuses[0];
+  if (jsn != nullptr) *jsn = jsns[0];
+  return status;
 }
 
 Status Ledger::CommitPrevalidatedGroup(std::vector<PrevalidatedTx>&& batch,
@@ -442,9 +411,12 @@ Status Ledger::CommitPrevalidatedGroup(std::vector<PrevalidatedTx>&& batch,
   jsns->assign(n, 0);
   statuses->assign(n, Status::OK());
 
-  // Dedup screen on the committer thread, exactly as CommitPrevalidated:
-  // retried submissions converge on their original jsn and drop out of
-  // the group, nonce conflicts fail alone. Within-group duplicates are
+  // Idempotent append: a resubmission of an already-committed transaction
+  // (same signer, nonce and request hash — e.g. a client retrying after a
+  // lost response) converges on its original jsn and drops out of the
+  // group; a *different* transaction reusing a nonce fails alone. The
+  // screen runs here, on the committer thread, so concurrent const
+  // Prevalidate calls never race the map. Within-group duplicates are
   // resolved against the jsns being assigned right here, so the group
   // commits the same set a serial replay of the batch would.
   std::vector<size_t> live;  // indexes into `batch` that will commit

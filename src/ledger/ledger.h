@@ -213,7 +213,7 @@ class Ledger {
   /// Appends a client transaction (Figure 1 journal-level commitment).
   /// Validates membership and π_c, assigns a jsn, and threads the journal
   /// through the fam tree, CM-Tree and world-state. Equivalent to
-  /// Prevalidate() + CommitPrevalidated().
+  /// Prevalidate() + CommitPrevalidatedGroup() on a group of one.
   Status Append(const ClientTransaction& tx, uint64_t* jsn);
 
   /// A client transaction that has passed every shard-independent check:
@@ -242,20 +242,15 @@ class Ledger {
   void PrevalidateBatch(std::span<const ClientTransaction* const> txs,
                         PrevalidatedTx* outs, Status* statuses) const;
 
-  /// Stage 2: assigns server_ts and jsn, then threads the pre-validated
-  /// journal through fam/CM-Tree/world-state. Cheap relative to stage 1;
-  /// must run on the shard's single committer thread (or any externally
-  /// serialized caller).
-  Status CommitPrevalidated(PrevalidatedTx&& prevalidated, uint64_t* jsn);
-
-  /// Stage 2 for a whole committer group: dedup-screens the batch, then
-  /// persists every surviving journal through one StreamStore::AppendBatch
-  /// group (one data fsync + one watermark fsync for the entire group)
-  /// before applying them to the accumulators in order. `jsns` and
+  /// Stage 2, for a whole committer group: dedup-screens the batch,
+  /// assigns each surviving journal its server_ts and jsn, then persists
+  /// them through one StreamStore::AppendBatch group (one data fsync + one
+  /// watermark fsync for the entire group) before applying them to the accumulators in order. `jsns` and
   /// `statuses` are indexed like `batch`; retried submissions converge on
   /// their original jsn, nonce conflicts fail alone, and a storage
   /// failure fails every surviving journal without mutating the ledger.
-  /// Same threading contract as CommitPrevalidated.
+  /// Cheap relative to stage 1; must run on the shard's single committer
+  /// thread (or any externally serialized caller).
   Status CommitPrevalidatedGroup(std::vector<PrevalidatedTx>&& batch,
                                  std::vector<uint64_t>* jsns,
                                  std::vector<Status>* statuses);

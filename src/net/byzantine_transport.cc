@@ -5,62 +5,6 @@
 
 namespace ledgerdb {
 
-namespace {
-
-/// Wire wrappers so list-shaped responses go through the same generic
-/// fault plumbing as the struct responses.
-struct JsnListWire {
-  std::vector<uint64_t> jsns;
-
-  Bytes Serialize() const {
-    Bytes raw;
-    PutU32(&raw, static_cast<uint32_t>(jsns.size()));
-    for (uint64_t jsn : jsns) PutU64(&raw, jsn);
-    return raw;
-  }
-
-  static bool Deserialize(const Bytes& raw, JsnListWire* out) {
-    size_t pos = 0;
-    uint32_t count = 0;
-    if (!GetU32(raw, &pos, &count)) return false;
-    out->jsns.assign(count, 0);
-    for (uint32_t i = 0; i < count; ++i) {
-      if (!GetU64(raw, &pos, &out->jsns[i])) return false;
-    }
-    return pos == raw.size();
-  }
-};
-
-struct DeltaListWire {
-  std::vector<JournalDelta> deltas;
-
-  Bytes Serialize() const {
-    Bytes raw;
-    PutU32(&raw, static_cast<uint32_t>(deltas.size()));
-    for (const JournalDelta& d : deltas) PutLengthPrefixed(&raw, d.Serialize());
-    return raw;
-  }
-
-  static bool Deserialize(const Bytes& raw, DeltaListWire* out) {
-    size_t pos = 0;
-    uint32_t count = 0;
-    if (!GetU32(raw, &pos, &count)) return false;
-    if (count > 1u << 20) return false;
-    out->deltas.clear();
-    out->deltas.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      Bytes block;
-      if (!GetLengthPrefixed(raw, &pos, &block)) return false;
-      JournalDelta d;
-      if (!JournalDelta::Deserialize(block, &d)) return false;
-      out->deltas.push_back(std::move(d));
-    }
-    return pos == raw.size();
-  }
-};
-
-}  // namespace
-
 const char* FaultKindName(FaultKind kind) {
   switch (kind) {
     case FaultKind::kNone:
@@ -245,13 +189,9 @@ Status ByzantineTransport::ListTx(const std::string& clue,
     if (!jsns->empty()) jsns->pop_back();
     return Status::OK();
   }
-  JsnListWire wire;
-  Status st = HandleWire<JsnListWire>(
-      RpcOp::kListTx, fault, &wire, [&](JsnListWire* o) {
-        return inner_->ListTx(clue, &o->jsns);
-      });
-  if (st.ok()) *jsns = std::move(wire.jsns);
-  return st;
+  return HandleWire<std::vector<uint64_t>>(
+      RpcOp::kListTx, fault, jsns,
+      [&](std::vector<uint64_t>* o) { return inner_->ListTx(clue, o); });
 }
 
 Status ByzantineTransport::GetProofBatch(const std::vector<uint64_t>& jsns,
@@ -368,13 +308,10 @@ Status ByzantineTransport::GetDelta(uint64_t from, uint64_t to,
     if (!out->empty()) out->pop_back();
     return Status::OK();
   }
-  DeltaListWire wire;
-  Status st = HandleWire<DeltaListWire>(
-      RpcOp::kGetDelta, fault, &wire, [&](DeltaListWire* o) {
-        return inner_->GetDelta(from, to, &o->deltas);
+  return HandleWire<std::vector<JournalDelta>>(
+      RpcOp::kGetDelta, fault, out, [&](std::vector<JournalDelta>* o) {
+        return inner_->GetDelta(from, to, o);
       });
-  if (st.ok()) *out = std::move(wire.deltas);
-  return st;
 }
 
 }  // namespace ledgerdb

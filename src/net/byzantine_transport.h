@@ -110,10 +110,10 @@ class ByzantineTransport : public LedgerTransport {
     if (global_jsn >= fork_jsn_) delta->tx_hash.bytes[0] ^= 0x80;
   }
 
-  /// Generic network-plane fault handling for a response type with
-  /// Serialize/Deserialize. Typed response mutations (truncate,
-  /// substitute, corrupt, stale) are handled by the per-op overrides
-  /// before calling this.
+  /// Generic network-plane fault handling for any response type, on the
+  /// bytes of its RPC body codec (wire::Codec). Typed response mutations
+  /// (truncate, substitute, corrupt, stale) are handled by the per-op
+  /// overrides before calling this.
   template <typename T, typename CallFn>
   Status HandleWire(RpcOp op, FaultKind fault, T* out, CallFn call) {
     Bytes& stash = stash_[Idx(op)];
@@ -123,7 +123,7 @@ class ByzantineTransport : public LedgerTransport {
       // a mismatched response is caught by the client's binding checks.
       Bytes raw = std::move(stash);
       stash.clear();
-      if (!T::Deserialize(raw, out)) {
+      if (!wire::Codec<T>::Decode(raw, out)) {
         return Status::Corruption("reordered response undecodable");
       }
       return Status::OK();
@@ -149,14 +149,14 @@ class ByzantineTransport : public LedgerTransport {
       case FaultKind::kReorder: {
         T resp;
         Status st = call(&resp);
-        if (st.ok()) stash_[Idx(op)] = resp.Serialize();
+        if (st.ok()) stash_[Idx(op)] = wire::Codec<T>::Encode(resp);
         return Status::DeadlineExceeded("injected: response reordered");
       }
       case FaultKind::kForgeProof: {
         LEDGERDB_RETURN_IF_ERROR(call(out));
-        Bytes raw = out->Serialize();
+        Bytes raw = wire::Codec<T>::Encode(*out);
         MutateBytes(&raw);
-        if (!T::Deserialize(raw, out)) {
+        if (!wire::Codec<T>::Decode(raw, out)) {
           return Status::Corruption("forged response undecodable");
         }
         return Status::OK();

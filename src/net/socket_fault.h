@@ -19,8 +19,8 @@ namespace ledgerdb {
 /// Transport-layer faults a flaky network (or malicious middlebox) can
 /// apply to one proxied connection. Mirrors FaultEnv / ByzantineTransport:
 /// every cut point flows from the proxy seed, so a failing matrix cell
-/// replays exactly. (Named SocketFaultKind — FaultKind already exists in
-/// both storage/fault_env.h and net/byzantine_transport.h.)
+/// replays exactly. (Named like StorageFaultKind: FaultKind is the
+/// ByzantineTransport taxonomy in net/byzantine_transport.h.)
 enum class SocketFaultKind : uint8_t {
   kNone = 0,
   kReset,           ///< abrupt close after a seeded number of response bytes

@@ -1,31 +1,66 @@
 #include "net/transport.h"
 
+#include "net/wire.h"
+
 namespace ledgerdb {
 
-const char* RpcOpName(RpcOp op) {
-  switch (op) {
-    case RpcOp::kAppendTx:
-      return "AppendTx";
-    case RpcOp::kGetReceipt:
-      return "GetReceipt";
-    case RpcOp::kGetJournal:
-      return "GetJournal";
-    case RpcOp::kGetProof:
-      return "GetProof";
-    case RpcOp::kGetClueProof:
-      return "GetClueProof";
-    case RpcOp::kListTx:
-      return "ListTx";
-    case RpcOp::kGetCommitment:
-      return "GetCommitment";
-    case RpcOp::kGetDelta:
-      return "GetDelta";
-    case RpcOp::kGetProofBatch:
-      return "GetProofBatch";
-    case RpcOp::kProveClueRange:
-      return "ProveClueRange";
+template <typename R>
+Status WireTransport::Invoke(const typename R::Request& request,
+                             typename R::Response* out) {
+  Bytes body;
+  LEDGERDB_RETURN_IF_ERROR(
+      Call(R::kOp, wire::Codec<typename R::Request>::Encode(request), &body));
+  if (!wire::Codec<typename R::Response>::Decode(body, out)) {
+    return Status::Corruption(std::string(R::kName) +
+                              " response body undecodable");
   }
-  return "Unknown";
+  return Status::OK();
+}
+
+Status WireTransport::AppendTx(const ClientTransaction& tx, uint64_t* jsn) {
+  return Invoke<rpc::AppendTx>(tx, jsn);
+}
+
+Status WireTransport::GetReceipt(uint64_t jsn, Receipt* out) {
+  return Invoke<rpc::GetReceipt>(jsn, out);
+}
+
+Status WireTransport::GetJournal(uint64_t jsn, Journal* out) {
+  return Invoke<rpc::GetJournal>(jsn, out);
+}
+
+Status WireTransport::GetProof(uint64_t jsn, FamProof* out) {
+  return Invoke<rpc::GetProof>(jsn, out);
+}
+
+Status WireTransport::GetClueProof(const std::string& clue, uint64_t begin,
+                                   uint64_t end, ClueProof* out) {
+  return Invoke<rpc::GetClueProof>({clue, begin, end}, out);
+}
+
+Status WireTransport::ListTx(const std::string& clue,
+                             std::vector<uint64_t>* jsns) {
+  return Invoke<rpc::ListTx>(clue, jsns);
+}
+
+Status WireTransport::GetCommitment(SignedCommitment* out) {
+  return Invoke<rpc::GetCommitment>({}, out);
+}
+
+Status WireTransport::GetDelta(uint64_t from, uint64_t to,
+                               std::vector<JournalDelta>* out) {
+  return Invoke<rpc::GetDelta>({from, to}, out);
+}
+
+Status WireTransport::GetProofBatch(const std::vector<uint64_t>& jsns,
+                                    FamBatchProof* out) {
+  return Invoke<rpc::GetProofBatch>(jsns, out);
+}
+
+Status WireTransport::ProveClueRange(const std::string& clue, Timestamp from,
+                                     Timestamp to, ClueRangeResult* out) {
+  return Invoke<rpc::ProveClueRange>(
+      {clue, static_cast<uint64_t>(from), static_cast<uint64_t>(to)}, out);
 }
 
 LocalTransport::LocalTransport(Ledger* ledger)
@@ -60,149 +95,27 @@ const PublicKey& LocalTransport::lsp_key() const {
   return service_->lsp_key();
 }
 
-Status LocalTransport::AppendTx(const ClientTransaction& tx, uint64_t* jsn) {
+Status LocalTransport::Call(RpcOp op, const Bytes& body, Bytes* resp_body) {
   LEDGERDB_RETURN_IF_ERROR(CheckDeadline());
   Ledger* ledger = nullptr;
   LEDGERDB_RETURN_IF_ERROR(Resolve(&ledger));
-  // Request over the wire: the server only ever sees the serialized form.
-  ClientTransaction wire;
-  if (!ClientTransaction::Deserialize(tx.Serialize(), &wire)) {
-    return Status::InvalidArgument("transaction wire encoding failed");
+  // Both frames cross their codec: the dispatch only ever sees a decoded
+  // request frame, and the caller only a decoded response frame.
+  wire::RequestFrame request;
+  request.op = op;
+  request.body = body;
+  wire::RequestFrame served;
+  if (!wire::RequestFrame::Decode(request.Encode(), &served)) {
+    return Status::Corruption("request frame round trip failed");
   }
-  return ledger->Append(wire, jsn);
-}
-
-Status LocalTransport::GetReceipt(uint64_t jsn, Receipt* out) {
-  LEDGERDB_RETURN_IF_ERROR(CheckDeadline());
-  Ledger* ledger = nullptr;
-  LEDGERDB_RETURN_IF_ERROR(Resolve(&ledger));
-  Receipt r;
-  LEDGERDB_RETURN_IF_ERROR(ledger->GetReceipt(jsn, &r));
-  if (!Receipt::Deserialize(r.Serialize(), out)) {
-    return Status::Corruption("receipt wire round trip failed");
+  wire::ResponseFrame response;
+  if (!wire::ResponseFrame::Decode(wire::Dispatch(ledger, served).Encode(),
+                                   &response)) {
+    return Status::Corruption("response frame round trip failed");
   }
-  return Status::OK();
-}
-
-Status LocalTransport::GetJournal(uint64_t jsn, Journal* out) {
-  LEDGERDB_RETURN_IF_ERROR(CheckDeadline());
-  Ledger* ledger = nullptr;
-  LEDGERDB_RETURN_IF_ERROR(Resolve(&ledger));
-  Journal j;
-  LEDGERDB_RETURN_IF_ERROR(ledger->GetJournal(jsn, &j));
-  if (!Journal::Deserialize(j.Serialize(), out)) {
-    return Status::Corruption("journal wire round trip failed");
-  }
-  return Status::OK();
-}
-
-Status LocalTransport::GetProof(uint64_t jsn, FamProof* out) {
-  LEDGERDB_RETURN_IF_ERROR(CheckDeadline());
-  Ledger* ledger = nullptr;
-  LEDGERDB_RETURN_IF_ERROR(Resolve(&ledger));
-  FamProof proof;
-  LEDGERDB_RETURN_IF_ERROR(ledger->GetProof(jsn, &proof));
-  if (!FamProof::Deserialize(proof.Serialize(), out)) {
-    return Status::Corruption("fam proof wire round trip failed");
-  }
-  return Status::OK();
-}
-
-Status LocalTransport::GetClueProof(const std::string& clue, uint64_t begin,
-                                    uint64_t end, ClueProof* out) {
-  LEDGERDB_RETURN_IF_ERROR(CheckDeadline());
-  Ledger* ledger = nullptr;
-  LEDGERDB_RETURN_IF_ERROR(Resolve(&ledger));
-  ClueProof proof;
-  LEDGERDB_RETURN_IF_ERROR(ledger->GetClueProof(clue, begin, end, &proof));
-  if (!ClueProof::Deserialize(proof.Serialize(), out)) {
-    return Status::Corruption("clue proof wire round trip failed");
-  }
-  return Status::OK();
-}
-
-Status LocalTransport::ListTx(const std::string& clue,
-                              std::vector<uint64_t>* jsns) {
-  LEDGERDB_RETURN_IF_ERROR(CheckDeadline());
-  Ledger* ledger = nullptr;
-  LEDGERDB_RETURN_IF_ERROR(Resolve(&ledger));
-  std::vector<uint64_t> raw;
-  LEDGERDB_RETURN_IF_ERROR(ledger->ListTx(clue, &raw));
-  // Wire: [u32 count][u64 jsn]* — round-tripped like every other response.
-  Bytes wire;
-  PutU32(&wire, static_cast<uint32_t>(raw.size()));
-  for (uint64_t jsn : raw) PutU64(&wire, jsn);
-  size_t pos = 0;
-  uint32_t count = 0;
-  if (!GetU32(wire, &pos, &count)) {
-    return Status::Corruption("jsn list wire round trip failed");
-  }
-  jsns->assign(count, 0);
-  for (uint32_t i = 0; i < count; ++i) {
-    if (!GetU64(wire, &pos, &(*jsns)[i])) {
-      return Status::Corruption("jsn list wire round trip failed");
-    }
-  }
-  return Status::OK();
-}
-
-Status LocalTransport::GetProofBatch(const std::vector<uint64_t>& jsns,
-                                     FamBatchProof* out) {
-  LEDGERDB_RETURN_IF_ERROR(CheckDeadline());
-  Ledger* ledger = nullptr;
-  LEDGERDB_RETURN_IF_ERROR(Resolve(&ledger));
-  FamBatchProof proof;
-  LEDGERDB_RETURN_IF_ERROR(ledger->GetProofBatch(jsns, &proof));
-  if (!FamBatchProof::Deserialize(proof.Serialize(), out)) {
-    return Status::Corruption("batch proof wire round trip failed");
-  }
-  return Status::OK();
-}
-
-Status LocalTransport::ProveClueRange(const std::string& clue, Timestamp from,
-                                      Timestamp to, ClueRangeResult* out) {
-  LEDGERDB_RETURN_IF_ERROR(CheckDeadline());
-  Ledger* ledger = nullptr;
-  LEDGERDB_RETURN_IF_ERROR(Resolve(&ledger));
-  // The wire variant lets the server serve a repeated range read from its
-  // response memo without rebuilding or re-serializing the proofs.
-  Bytes wire;
-  LEDGERDB_RETURN_IF_ERROR(ledger->ProveClueRangeWire(clue, from, to, &wire));
-  if (!ClueRangeResult::Deserialize(wire, out)) {
-    return Status::Corruption("clue range wire round trip failed");
-  }
-  return Status::OK();
-}
-
-Status LocalTransport::GetCommitment(SignedCommitment* out) {
-  LEDGERDB_RETURN_IF_ERROR(CheckDeadline());
-  Ledger* ledger = nullptr;
-  LEDGERDB_RETURN_IF_ERROR(Resolve(&ledger));
-  SignedCommitment c;
-  LEDGERDB_RETURN_IF_ERROR(ledger->GetCommitment(&c));
-  if (!SignedCommitment::Deserialize(c.Serialize(), out)) {
-    return Status::Corruption("commitment wire round trip failed");
-  }
-  return Status::OK();
-}
-
-Status LocalTransport::GetDelta(uint64_t from, uint64_t to,
-                                std::vector<JournalDelta>* out) {
-  LEDGERDB_RETURN_IF_ERROR(CheckDeadline());
-  Ledger* ledger = nullptr;
-  LEDGERDB_RETURN_IF_ERROR(Resolve(&ledger));
-  std::vector<JournalDelta> deltas;
-  LEDGERDB_RETURN_IF_ERROR(ledger->GetDelta(from, to, &deltas));
-  out->clear();
-  out->reserve(deltas.size());
-  for (const JournalDelta& d : deltas) {
-    JournalDelta wire;
-    if (!JournalDelta::Deserialize(d.Serialize(), &wire)) {
-      return Status::Corruption("delta wire round trip failed");
-    }
-    out->push_back(std::move(wire));
-  }
-  return Status::OK();
+  Status st = response.ToStatus();
+  if (st.ok()) *resp_body = std::move(response.body);
+  return st;
 }
 
 }  // namespace ledgerdb

@@ -7,35 +7,16 @@
 #include "common/status.h"
 #include "ledger/ledger.h"
 #include "ledger/service.h"
+#include "net/rpc.h"
 
 namespace ledgerdb {
-
-/// The RPC operations a ledger client can issue. Fault injection schedules
-/// against these (ByzantineTransport), so the enum is part of the net
-/// plane's public surface.
-enum class RpcOp : uint8_t {
-  kAppendTx = 0,
-  kGetReceipt,
-  kGetJournal,
-  kGetProof,
-  kGetClueProof,
-  kListTx,
-  kGetCommitment,
-  kGetDelta,
-  kGetProofBatch,
-  kProveClueRange,
-};
-
-constexpr int kNumRpcOps = 10;
-
-const char* RpcOpName(RpcOp op);
 
 /// Transport seam between LedgerClient / auditors and the LSP (§II-B: the
 /// LSP is *distrusted*, so everything a client learns arrives through this
 /// interface and must be independently verified). Implementations:
-/// LocalTransport (honest, in-process, wire round-tripped) and
-/// ByzantineTransport (adversarial decorator). An actual network stub
-/// implements the same surface; client verification logic is unchanged.
+/// LocalTransport (honest, in-process, wire round-tripped), SocketTransport
+/// (net/socket_transport.h) and ByzantineTransport (adversarial
+/// decorator); client verification logic is the same over each.
 class LedgerTransport {
  public:
   virtual ~LedgerTransport() = default;
@@ -80,18 +61,12 @@ class LedgerTransport {
   uint64_t request_deadline_us_ = 0;
 };
 
-/// Honest in-process transport. Every request and response is serialized
-/// and re-parsed through its wire format, so clients exercise exactly the
-/// byte surface a remote deployment would expose — a proof that survives
-/// LocalTransport has survived its codec.
-class LocalTransport : public LedgerTransport {
+/// A LedgerTransport whose typed methods are written once, over Call:
+/// each encodes its request with the RPC table's body codec (net/rpc.h),
+/// exchanges it through Call, and decodes the response body. A concrete
+/// transport supplies only Call.
+class WireTransport : public LedgerTransport {
  public:
-  explicit LocalTransport(Ledger* ledger);
-
-  /// Service-addressed variant: the ledger is resolved from `service` by
-  /// uri on first use (so the transport can be built before the ledger).
-  LocalTransport(LedgerService* service, std::string uri);
-
   Status AppendTx(const ClientTransaction& tx, uint64_t* jsn) override;
   Status GetReceipt(uint64_t jsn, Receipt* out) override;
   Status GetJournal(uint64_t jsn, Journal* out) override;
@@ -106,6 +81,32 @@ class LocalTransport : public LedgerTransport {
                        FamBatchProof* out) override;
   Status ProveClueRange(const std::string& clue, Timestamp from, Timestamp to,
                         ClueRangeResult* out) override;
+
+  /// One request/response exchange: `body` is the request body for `op`;
+  /// on OK, `*resp_body` receives the response body. A server-reported
+  /// error comes back as its own Status.
+  virtual Status Call(RpcOp op, const Bytes& body, Bytes* resp_body) = 0;
+
+ private:
+  template <typename R>
+  Status Invoke(const typename R::Request& request,
+                typename R::Response* out);
+};
+
+/// Honest in-process transport. Every exchange runs the full socket codec
+/// — request frame encode/decode, the server's table dispatch, response
+/// frame encode/decode — so clients exercise exactly the byte surface a
+/// remote deployment would expose: a proof that survives LocalTransport
+/// has survived its codec.
+class LocalTransport : public WireTransport {
+ public:
+  explicit LocalTransport(Ledger* ledger);
+
+  /// Service-addressed variant: the ledger is resolved from `service` by
+  /// uri on first use (so the transport can be built before the ledger).
+  LocalTransport(LedgerService* service, std::string uri);
+
+  Status Call(RpcOp op, const Bytes& body, Bytes* resp_body) override;
 
   const std::string& uri() const override { return uri_; }
 

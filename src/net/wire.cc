@@ -153,6 +153,21 @@ Status ResponseFrame::ToStatus() const {
   return Status::Corruption("unknown status code on wire");
 }
 
+ResponseFrame Dispatch(Ledger* ledger, const RequestFrame& request) {
+  const auto op = static_cast<uint8_t>(request.op);
+  if (!ValidOp(op)) {
+    return ResponseFrame::From(request.op, request.request_id,
+                               Status::InvalidArgument("unknown rpc op"));
+  }
+  Bytes body;
+  Status st = kRpcTable[op].handler(ledger, request.body, &body);
+  ResponseFrame resp = ResponseFrame::From(request.op, request.request_id, st);
+  if (st.ok()) resp.body = std::move(body);
+  return resp;
+}
+
+// Per-op body codecs, declared with the RPC table in net/rpc.h.
+
 Bytes EncodeJsnRequest(uint64_t jsn) {
   Bytes out;
   PutU64(&out, jsn);

@@ -6,7 +6,7 @@
 
 #include "common/bytes.h"
 #include "common/status.h"
-#include "net/transport.h"
+#include "net/rpc.h"
 
 namespace ledgerdb::wire {
 
@@ -106,39 +106,10 @@ bool ValidOp(uint8_t op);
 /// True if `code` round-trips through Status::Code.
 bool ValidStatusCode(uint8_t code);
 
-// ---------------------------------------------------------------------------
-// Per-op body codecs (strict: truncation AND trailing bytes both fail)
-// ---------------------------------------------------------------------------
-//
-// Shared by SocketTransport (encode request / decode response) and
-// LedgerServer (decode request / encode response) so the two sides can
-// never drift. Response bodies for proof/journal/receipt/commitment ops
-// are the canonical Serialize() bytes and need no helpers here.
-
-Bytes EncodeJsnRequest(uint64_t jsn);
-bool DecodeJsnRequest(const Bytes& body, uint64_t* jsn);
-
-/// GetClueProof(begin, end) and ProveClueRange(from, to) — same shape,
-/// [lp clue][u64][u64]; Timestamps travel as u64 two's complement.
-Bytes EncodeClueWindowRequest(const std::string& clue, uint64_t begin,
-                              uint64_t end);
-bool DecodeClueWindowRequest(const Bytes& body, std::string* clue,
-                             uint64_t* begin, uint64_t* end);
-
-Bytes EncodeClueRequest(const std::string& clue);
-bool DecodeClueRequest(const Bytes& body, std::string* clue);
-
-Bytes EncodeRangeRequest(uint64_t from, uint64_t to);
-bool DecodeRangeRequest(const Bytes& body, uint64_t* from, uint64_t* to);
-
-/// GetProofBatch request and ListTx/AppendTx-adjacent responses:
-/// [u32 count][u64 jsn]*.
-Bytes EncodeJsnList(const std::vector<uint64_t>& jsns);
-bool DecodeJsnList(const Bytes& body, std::vector<uint64_t>* jsns);
-
-/// GetDelta response: [u32 count][lp delta]*.
-Bytes EncodeDeltas(const std::vector<JournalDelta>& deltas);
-bool DecodeDeltas(const Bytes& body, std::vector<JournalDelta>* deltas);
+/// The shared server dispatch: runs `request` against `ledger` through its
+/// kRpcTable row and builds the response frame. The caller serializes
+/// ledger access. Body codecs live with the table, in net/rpc.h.
+ResponseFrame Dispatch(Ledger* ledger, const RequestFrame& request);
 
 }  // namespace ledgerdb::wire
 

@@ -17,7 +17,7 @@ namespace ledgerdb {
 /// What to inject at a scheduled fault point. Every kind except
 /// kTransientError ends in a simulated power cut: unsynced writes are
 /// rolled back and all further operations fail.
-enum class FaultKind : uint8_t {
+enum class StorageFaultKind : uint8_t {
   /// Plain power cut: buffered (unsynced) writes are lost.
   kCrash = 0,
   /// The write at this point persists only a random prefix, then power cut.
@@ -37,7 +37,7 @@ enum class FaultKind : uint8_t {
   kTransientError,
 };
 
-inline constexpr int kFaultKindCount = 6;
+inline constexpr int kStorageFaultKindCount = 6;
 
 /// Deterministic fault-injection environment. Wraps a base Env and counts
 /// every mutating file operation (Write / Sync / Truncate) as a numbered
@@ -59,7 +59,7 @@ class FaultEnv : public Env {
   ~FaultEnv() override;
 
   /// Schedules `kind` to fire at mutating-op number `op` (0-based).
-  void ScheduleFault(uint64_t op, FaultKind kind);
+  void ScheduleFault(uint64_t op, StorageFaultKind kind);
 
   /// Number of mutating ops issued so far. Run a workload once with no
   /// schedule to learn how many fault points it exposes.
@@ -110,7 +110,7 @@ class FaultEnv : public Env {
 
   /// Looks up (and consumes) a fault scheduled for the current op, then
   /// advances the counter. Caller holds mu_.
-  bool NextFault(FaultKind* kind);
+  bool NextFault(StorageFaultKind* kind);
 
   /// Rolls back all unsynced writes across every file and marks the env
   /// crashed. Caller holds mu_.
@@ -119,7 +119,7 @@ class FaultEnv : public Env {
   mutable std::mutex mu_;
   Env* base_;
   Random rng_;
-  std::map<uint64_t, FaultKind> plan_;
+  std::map<uint64_t, StorageFaultKind> plan_;
   uint64_t op_counter_ = 0;
   bool crashed_ = false;
   int injected_ = 0;

@@ -601,14 +601,15 @@ TEST_F(CheckpointFaultMatrixTest, CrashAtEveryCheckpointFaultPoint) {
 
   for (uint64_t k = 0; k < total_ops; ++k) {
     SCOPED_TRACE("fault point " + std::to_string(k));
-    FaultKind kind = static_cast<FaultKind>(k % kFaultKindCount);
+    StorageFaultKind kind =
+        static_cast<StorageFaultKind>(k % kStorageFaultKindCount);
     MemEnv base;
     FaultEnv env(&base, 4242 + k);
     env.ScheduleFault(k, kind);
     Status run = RunWorkload(&env, nullptr);
     ASSERT_EQ(env.faults_injected(), 1);
 
-    if (kind == FaultKind::kTransientError) {
+    if (kind == StorageFaultKind::kTransientError) {
       // The retry layer (streams and checkpoint store alike) must absorb
       // a one-shot transient error without surfacing it.
       ASSERT_TRUE(run.ok()) << run.ToString();
@@ -616,7 +617,7 @@ TEST_F(CheckpointFaultMatrixTest, CrashAtEveryCheckpointFaultPoint) {
     } else {
       EXPECT_TRUE(env.crashed());
       if (run.ok()) {
-        EXPECT_EQ(kind, FaultKind::kDroppedSync);
+        EXPECT_EQ(kind, StorageFaultKind::kDroppedSync);
       }
     }
 

@@ -42,7 +42,7 @@ TEST(FaultEnvTest, CrashRollsBackUnsyncedWrites) {
   ASSERT_TRUE(f->Sync().ok());                                        // op 1
   ASSERT_TRUE(f->Write(7, Slice(std::string_view("-volatile"))).ok());  // op 2
   ASSERT_TRUE(f->Write(0, Slice(std::string_view("DUR"))).ok());        // op 3
-  env.ScheduleFault(4, FaultKind::kCrash);
+  env.ScheduleFault(4, StorageFaultKind::kCrash);
   EXPECT_TRUE(f->Sync().IsIOError());  // op 4: power cut instead of sync
   EXPECT_TRUE(env.crashed());
   EXPECT_EQ(env.faults_injected(), 1);
@@ -62,7 +62,7 @@ TEST(FaultEnvTest, TornWritePersistsStrictPrefix) {
   ASSERT_TRUE(env.OpenFile("f", &f).ok());
   ASSERT_TRUE(f->Write(0, Slice(std::string_view("base-"))).ok());  // op 0
   ASSERT_TRUE(f->Sync().ok());                                      // op 1
-  env.ScheduleFault(2, FaultKind::kTornWrite);
+  env.ScheduleFault(2, StorageFaultKind::kTornWrite);
   EXPECT_TRUE(f->Write(5, Slice(std::string_view("torn-payload"))).IsIOError());
   EXPECT_TRUE(env.crashed());
   Bytes img = FileContents(&base, "f");
@@ -83,7 +83,7 @@ TEST(FaultEnvTest, DroppedSyncAcknowledgesButPersistsNothing) {
   std::unique_ptr<File> f;
   ASSERT_TRUE(env.OpenFile("f", &f).ok());
   ASSERT_TRUE(f->Write(0, Slice(std::string_view("acked"))).ok());  // op 0
-  env.ScheduleFault(1, FaultKind::kDroppedSync);
+  env.ScheduleFault(1, StorageFaultKind::kDroppedSync);
   EXPECT_TRUE(f->Sync().ok());  // the lie: OK but nothing persisted
   EXPECT_TRUE(env.crashed());
   EXPECT_TRUE(FileContents(&base, "f").empty());
@@ -94,7 +94,7 @@ TEST(FaultEnvTest, TransientErrorFailsOnceThenSucceeds) {
   FaultEnv env(&base, 3);
   std::unique_ptr<File> f;
   ASSERT_TRUE(env.OpenFile("f", &f).ok());
-  env.ScheduleFault(0, FaultKind::kTransientError);
+  env.ScheduleFault(0, StorageFaultKind::kTransientError);
   Status s = f->Write(0, Slice(std::string_view("retry-me")));
   EXPECT_TRUE(s.IsTransientIO());
   EXPECT_TRUE(s.IsRetriable());
@@ -259,14 +259,15 @@ TEST_F(FaultMatrixTest, CrashAtEveryFaultPoint) {
 
   for (uint64_t k = 0; k < total_ops; ++k) {
     SCOPED_TRACE("fault point " + std::to_string(k));
-    FaultKind kind = static_cast<FaultKind>(k % kFaultKindCount);
+    StorageFaultKind kind =
+        static_cast<StorageFaultKind>(k % kStorageFaultKindCount);
     MemEnv base;
     FaultEnv env(&base, 1234 + k);
     env.ScheduleFault(k, kind);
     Status run = RunWorkload(&env, nullptr);
     ASSERT_EQ(env.faults_injected(), 1);
 
-    if (kind == FaultKind::kTransientError) {
+    if (kind == StorageFaultKind::kTransientError) {
       // The retry layer must absorb a one-shot transient error: the run
       // completes and ends bit-identical to the reference.
       ASSERT_TRUE(run.ok()) << run.ToString();
@@ -288,7 +289,7 @@ TEST_F(FaultMatrixTest, CrashAtEveryFaultPoint) {
     // dropped sync on the workload's final op, whose lying ack lets the
     // run "finish".
     EXPECT_TRUE(env.crashed());
-    if (run.ok()) EXPECT_EQ(kind, FaultKind::kDroppedSync);
+    if (run.ok()) EXPECT_EQ(kind, StorageFaultKind::kDroppedSync);
 
     // Reopen the surviving image through the base env. Either the stores
     // refuse with explicit corruption (acknowledged bytes were damaged —
@@ -371,9 +372,10 @@ TEST(GroupCommitFaultTest, CrashAtEveryAppendBatchFaultPoint) {
 
   const std::vector<uint64_t> group_boundaries = {0, 1, 2, 6, 9};
   for (uint64_t k = 0; k < total_ops; ++k) {
-    for (int f = 0; f < kFaultKindCount; ++f) {
-      FaultKind kind = static_cast<FaultKind>(f);
-      if (kind == FaultKind::kTransientError) continue;  // absorbed by retry
+    for (int f = 0; f < kStorageFaultKindCount; ++f) {
+      StorageFaultKind kind = static_cast<StorageFaultKind>(f);
+      // Absorbed by retry.
+      if (kind == StorageFaultKind::kTransientError) continue;
       SCOPED_TRACE("fault point " + std::to_string(k) + " kind " +
                    std::to_string(f));
       MemEnv base;
@@ -480,8 +482,11 @@ TEST_F(FaultMatrixTest, GroupCommitCrashRecoversToGroupBoundary) {
 
   for (uint64_t k = 0; k < total_ops; ++k) {
     SCOPED_TRACE("fault point " + std::to_string(k));
-    FaultKind kind = static_cast<FaultKind>(k % kFaultKindCount);
-    if (kind == FaultKind::kTransientError) kind = FaultKind::kCrash;
+    StorageFaultKind kind =
+        static_cast<StorageFaultKind>(k % kStorageFaultKindCount);
+    if (kind == StorageFaultKind::kTransientError) {
+      kind = StorageFaultKind::kCrash;
+    }
     MemEnv base;
     FaultEnv env(&base, 7000 + k);
     env.ScheduleFault(k, kind);

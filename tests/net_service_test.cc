@@ -17,9 +17,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "client/ledger_client.h"
@@ -46,6 +48,59 @@ uint64_t EnvU64(const char* name, uint64_t fallback) {
 
 uint64_t FuzzSeed() { return EnvU64("LEDGERDB_PROOF_FUZZ_SEED", 20260809); }
 uint64_t FuzzRounds() { return EnvU64("LEDGERDB_PROOF_FUZZ_ROUNDS", 200); }
+
+/// Issues one of every RPC through the typed LedgerTransport methods and
+/// returns each successful response re-encoded with its body codec, keyed
+/// by op. AppendTx goes first, so transports called in turn with the same
+/// `tx` (a dedup hit after the first) all read the same ledger state.
+std::map<RpcOp, Bytes> CallEveryRpc(LedgerTransport* t,
+                                    const ClientTransaction& tx,
+                                    Timestamp range_end) {
+  std::map<RpcOp, Bytes> out;
+  auto keep = [&](RpcOp op, const Status& st, const auto& resp) {
+    using T = std::decay_t<decltype(resp)>;
+    if (st.ok()) out[op] = wire::Codec<T>::Encode(resp);
+  };
+  uint64_t jsn = 0;
+  keep(RpcOp::kAppendTx, t->AppendTx(tx, &jsn), jsn);
+  Receipt receipt;
+  keep(RpcOp::kGetReceipt, t->GetReceipt(jsn, &receipt), receipt);
+  Journal journal;
+  keep(RpcOp::kGetJournal, t->GetJournal(jsn, &journal), journal);
+  FamProof proof;
+  keep(RpcOp::kGetProof, t->GetProof(jsn, &proof), proof);
+  ClueProof clue_proof;
+  keep(RpcOp::kGetClueProof, t->GetClueProof("trail", 0, 0, &clue_proof),
+       clue_proof);
+  std::vector<uint64_t> jsns;
+  keep(RpcOp::kListTx, t->ListTx("trail", &jsns), jsns);
+  SignedCommitment commitment;
+  keep(RpcOp::kGetCommitment, t->GetCommitment(&commitment), commitment);
+  std::vector<JournalDelta> deltas;
+  keep(RpcOp::kGetDelta, t->GetDelta(0, jsn + 1, &deltas), deltas);
+  FamBatchProof batch;
+  keep(RpcOp::kGetProofBatch, t->GetProofBatch(jsns, &batch), batch);
+  ClueRangeResult range;
+  keep(RpcOp::kProveClueRange,
+       t->ProveClueRange("trail", 0, range_end, &range), range);
+  return out;
+}
+
+/// Captures the request body each typed call sends, by op, and answers
+/// nothing.
+class RecordingTransport : public WireTransport {
+ public:
+  Status Call(RpcOp op, const Bytes& body, Bytes*) override {
+    bodies[op] = body;
+    return Status::NotSupported("recording only");
+  }
+  const std::string& uri() const override { return uri_; }
+
+  std::map<RpcOp, Bytes> bodies;
+
+ private:
+  std::string uri_ = "lg://net";
+};
 
 class NetServiceTest : public ::testing::Test {
  protected:
@@ -75,8 +130,8 @@ class NetServiceTest : public ::testing::Test {
     return key;
   }
 
-  uint64_t AppendDirect(const std::string& payload,
-                        const std::vector<std::string>& clues) {
+  ClientTransaction SignedTx(const std::string& payload,
+                             const std::vector<std::string>& clues) {
     ClientTransaction tx;
     tx.ledger_uri = "lg://net";
     tx.clues = clues;
@@ -84,8 +139,13 @@ class NetServiceTest : public ::testing::Test {
     tx.nonce = next_nonce_++;
     tx.client_ts = clock_.Now();
     tx.Sign(alice_);
+    return tx;
+  }
+
+  uint64_t AppendDirect(const std::string& payload,
+                        const std::vector<std::string>& clues) {
     uint64_t jsn = 0;
-    EXPECT_TRUE(ledger_->Append(tx, &jsn).ok());
+    EXPECT_TRUE(ledger_->Append(SignedTx(payload, clues), &jsn).ok());
     return jsn;
   }
 
@@ -103,6 +163,35 @@ class NetServiceTest : public ::testing::Test {
     int fd = -1;
     EXPECT_TRUE(net::ConnectWithTimeout(parsed, 2'000'000, &fd).ok());
     return fd;
+  }
+
+  /// Sends `req` on a raw connection and reads back one response frame;
+  /// false if the exchange fails or the peer closes first.
+  bool Exchange(int fd, const wire::RequestFrame& req,
+                wire::ResponseFrame* resp) {
+    const uint64_t deadline = obs::NowUs() + 2'000'000;
+    Bytes framed;
+    wire::AppendFrame(&framed, req.Encode());
+    if (!net::SendAll(fd, framed.data(), framed.size(), deadline).ok()) {
+      return false;
+    }
+    Bytes inbuf;
+    uint8_t buf[4096];
+    while (true) {
+      Bytes payload;
+      size_t consumed = 0;
+      int rc = wire::ExtractFrame(inbuf.data(), inbuf.size(),
+                                  wire::kDefaultMaxFrameBytes, &payload,
+                                  &consumed);
+      if (rc < 0) return false;
+      if (rc > 0) return wire::ResponseFrame::Decode(payload, resp);
+      size_t got = 0;
+      if (!net::RecvSome(fd, buf, sizeof(buf), deadline, &got).ok() ||
+          got == 0) {
+        return false;
+      }
+      inbuf.insert(inbuf.end(), buf, buf + got);
+    }
   }
 
   /// Reads until the peer closes or `timeout_us` passes; true iff closed.
@@ -254,54 +343,18 @@ TEST_F(NetServiceTest, AllRpcsMatchLocalTransport) {
   LocalTransport local(ledger_.get());
   SocketTransport remote(server.address(), "lg://net");
 
-  SignedCommitment ca, cb;
-  ASSERT_TRUE(local.GetCommitment(&ca).ok());
-  ASSERT_TRUE(remote.GetCommitment(&cb).ok());
-  EXPECT_EQ(ca.Serialize(), cb.Serialize());
-
-  uint64_t last = ledger_->NumJournals() - 1;
-  Journal ja, jb;
-  ASSERT_TRUE(local.GetJournal(last, &ja).ok());
-  ASSERT_TRUE(remote.GetJournal(last, &jb).ok());
-  EXPECT_EQ(ja.Serialize(), jb.Serialize());
-
-  Receipt ra, rb;
-  ASSERT_TRUE(local.GetReceipt(last, &ra).ok());
-  ASSERT_TRUE(remote.GetReceipt(last, &rb).ok());
-  EXPECT_EQ(ra.Serialize(), rb.Serialize());
-
-  FamProof pa, pb;
-  ASSERT_TRUE(local.GetProof(last, &pa).ok());
-  ASSERT_TRUE(remote.GetProof(last, &pb).ok());
-  EXPECT_EQ(pa.Serialize(), pb.Serialize());
-
-  ClueProof cpa, cpb;
-  ASSERT_TRUE(local.GetClueProof("trail", 0, 0, &cpa).ok());
-  ASSERT_TRUE(remote.GetClueProof("trail", 0, 0, &cpb).ok());
-  EXPECT_EQ(cpa.Serialize(), cpb.Serialize());
-
-  std::vector<uint64_t> la, lb;
-  ASSERT_TRUE(local.ListTx("trail", &la).ok());
-  ASSERT_TRUE(remote.ListTx("trail", &lb).ok());
-  EXPECT_EQ(la, lb);
-
-  std::vector<JournalDelta> da, db;
-  ASSERT_TRUE(local.GetDelta(0, ledger_->NumJournals(), &da).ok());
-  ASSERT_TRUE(remote.GetDelta(0, ledger_->NumJournals(), &db).ok());
-  ASSERT_EQ(da.size(), db.size());
-  for (size_t i = 0; i < da.size(); ++i) {
-    EXPECT_EQ(da[i].Serialize(), db[i].Serialize());
+  const ClientTransaction tx = SignedTx("doc-rpc", {"trail"});
+  std::map<RpcOp, Bytes> local_resp =
+      CallEveryRpc(&local, tx, clock_.Now() + 1);
+  std::map<RpcOp, Bytes> remote_resp =
+      CallEveryRpc(&remote, tx, clock_.Now() + 1);
+  // Every row of the RPC table answers OK, byte-identically, on both.
+  for (const RpcEntry& entry : kRpcTable) {
+    SCOPED_TRACE(entry.name);
+    ASSERT_EQ(local_resp.count(entry.op), 1u);
+    ASSERT_EQ(remote_resp.count(entry.op), 1u);
+    EXPECT_EQ(local_resp[entry.op], remote_resp[entry.op]);
   }
-
-  FamBatchProof ba, bb;
-  ASSERT_TRUE(local.GetProofBatch(la, &ba).ok());
-  ASSERT_TRUE(remote.GetProofBatch(la, &bb).ok());
-  EXPECT_EQ(ba.Serialize(), bb.Serialize());
-
-  ClueRangeResult cra, crb;
-  ASSERT_TRUE(local.ProveClueRange("trail", 0, clock_.Now() + 1, &cra).ok());
-  ASSERT_TRUE(remote.ProveClueRange("trail", 0, clock_.Now() + 1, &crb).ok());
-  EXPECT_EQ(cra.Serialize(), crb.Serialize());
 
   // Errors pass through with their real codes (not transport errors).
   Journal missing;
@@ -529,47 +582,45 @@ TEST_F(NetServiceTest, OversizedFrameLengthClosesConnection) {
 }
 
 TEST_F(NetServiceTest, MalformedBodyGetsInvalidArgumentNotClose) {
+  AppendDirect("doc", {"trail"});
   LedgerServer server(ledger_.get(), {.unix_path = SockPath("body")});
   ASSERT_TRUE(server.Start().ok());
-  SocketTransport remote(server.address(), "lg://net");
 
-  // A valid frame whose op-specific body is junk must produce an explicit
-  // InvalidArgument response on a connection that stays usable.
-  SignedCommitment commitment;
-  ASSERT_TRUE(remote.GetCommitment(&commitment).ok());
+  // A well-formed request body for every op, as the typed stubs send it.
+  RecordingTransport recorder;
+  CallEveryRpc(&recorder, SignedTx("doc-body", {"trail"}), clock_.Now() + 1);
 
+  // A valid frame whose op-specific body is truncated or carries one
+  // trailing byte must produce an explicit InvalidArgument response on a
+  // connection that stays usable.
   int fd = RawConnect(server.address());
   Bytes hello = wire::EncodeHello();
   ASSERT_TRUE(net::SendAll(fd, hello.data(), hello.size(), 0).ok());
   wire::RequestFrame req;
-  req.op = RpcOp::kGetJournal;
-  req.request_id = 1;
-  req.body = StringToBytes("bad");  // not a u64
-  Bytes framed;
-  wire::AppendFrame(&framed, req.Encode());
-  ASSERT_TRUE(net::SendAll(fd, framed.data(), framed.size(), 0).ok());
-
-  Bytes inbuf;
-  uint8_t buf[4096];
-  uint64_t deadline = obs::NowUs() + 2'000'000;
   wire::ResponseFrame resp;
-  while (true) {
-    Bytes payload;
-    size_t consumed = 0;
-    int rc = wire::ExtractFrame(inbuf.data(), inbuf.size(),
-                                wire::kDefaultMaxFrameBytes, &payload,
-                                &consumed);
-    ASSERT_GE(rc, 0);
-    if (rc > 0) {
-      ASSERT_TRUE(wire::ResponseFrame::Decode(payload, &resp));
-      break;
+  for (const RpcEntry& entry : kRpcTable) {
+    SCOPED_TRACE(entry.name);
+    ASSERT_EQ(recorder.bodies.count(entry.op), 1u);
+    const Bytes& valid = recorder.bodies[entry.op];
+    std::vector<Bytes> malformed = {valid};
+    malformed[0].push_back(0x00);
+    if (!valid.empty()) malformed.emplace_back(valid.begin(), valid.end() - 1);
+    for (const Bytes& body : malformed) {
+      req.op = entry.op;
+      ++req.request_id;
+      req.body = body;
+      ASSERT_TRUE(Exchange(fd, req, &resp))
+          << "server closed instead of answering";
+      EXPECT_EQ(resp.request_id, req.request_id);
+      EXPECT_TRUE(resp.ToStatus().IsInvalidArgument())
+          << resp.ToStatus().ToString();
     }
-    size_t got = 0;
-    ASSERT_TRUE(net::RecvSome(fd, buf, sizeof(buf), deadline, &got).ok());
-    ASSERT_GT(got, 0u) << "server closed instead of answering";
-    inbuf.insert(inbuf.end(), buf, buf + got);
   }
-  EXPECT_TRUE(resp.ToStatus().IsInvalidArgument());
+  req.op = RpcOp::kGetCommitment;
+  ++req.request_id;
+  req.body.clear();
+  ASSERT_TRUE(Exchange(fd, req, &resp));
+  EXPECT_TRUE(resp.ToStatus().ok()) << resp.ToStatus().ToString();
   close(fd);
 }
 

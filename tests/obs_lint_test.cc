@@ -4,16 +4,14 @@
 // real code paths across the storage, retry, and net planes so the check
 // covers what production sites actually register, not just the catalog
 // constants.
-//
-// The storage exercise lives in obs_lint_storage_exercise.cc: this TU
-// includes net/byzantine_transport.h, whose `ledgerdb::FaultKind` collides
-// with the distinct storage taxonomy in storage/fault_env.h.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <regex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "client/ledger_client.h"
@@ -24,12 +22,11 @@
 #include "net/transport.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
+#include "storage/env.h"
+#include "storage/fault_env.h"
+#include "storage/stream_store.h"
 
 namespace ledgerdb {
-
-// Defined in obs_lint_storage_exercise.cc.
-void ExerciseStorageObs();
-
 namespace {
 
 const std::regex& NameConvention() {
@@ -102,6 +99,35 @@ class StubTransport : public LedgerTransport {
   uint64_t next_jsn_ = 1;
   std::string uri_ = "lg://lint-stub";
 };
+
+/// Drives the storage plane far enough to register every
+/// ledgerdb_storage_* series in the default registry: appends, fsyncs, an
+/// overwrite, a reopen scan, and one injected transient fault (which also
+/// registers the labeled fault counter and the retry series).
+void ExerciseStorageObs() {
+  MemEnv mem;
+  {
+    FaultEnv env(&mem, /*seed=*/0x11A7);
+    env.ScheduleFault(5, StorageFaultKind::kTransientError);
+    std::unique_ptr<FileStreamStore> store;
+    if (!FileStreamStore::Open(&env, "lint-exercise.log", &store).ok()) {
+      return;
+    }
+    uint64_t idx = 0;
+    store->Append(Slice(std::string_view("lint-record-a")), &idx).ok();
+    store->Append(Slice(std::string_view("lint-record-b")), &idx).ok();
+    // One group commit so the ledgerdb_storage_group_commit_* series
+    // register too.
+    std::vector<Slice> group = {Slice(std::string_view("lint-group-a")),
+                                Slice(std::string_view("lint-group-b"))};
+    uint64_t first = 0;
+    store->AppendBatch(group, &first).ok();
+    store->Overwrite(idx, Slice(std::string_view("lint-redacted"))).ok();
+  }
+  // Reopen through the clean env so the recovery scan runs too.
+  std::unique_ptr<FileStreamStore> reopened;
+  FileStreamStore::Open(&mem, "lint-exercise.log", &reopened).ok();
+}
 
 /// Drives the net plane: a few RPCs through ByzantineTransport with two
 /// scheduled faults, registering the per-op and per-kind labeled counters.
