@@ -43,13 +43,8 @@ Bytes EncodeTombstone(const Journal& journal) {
   return out;
 }
 
-struct Tombstone {
-  Digest tx_hash;
-  Digest payload_digest;
-  std::vector<std::string> clues;
-};
-
-bool DecodeTombstone(const Bytes& raw, Tombstone* out) {
+// A tombstone keeps exactly a journal's delta fields.
+bool DecodeTombstone(const Bytes& raw, JournalDelta* out) {
   if (!IsTombstoneFrame(raw) || raw.size() < kTombstoneTagSize + 68) {
     return false;
   }
@@ -66,6 +61,68 @@ bool DecodeTombstone(const Bytes& raw, Tombstone* out) {
     out->clues.emplace_back(clue.begin(), clue.end());
   }
   return pos == raw.size();
+}
+
+// The check step for one journal-stream record at position `index`:
+// decodes a purge tombstone (`journal` left empty) or the journal with jsn
+// `index`, requires genesis at the stream head, and checks a present
+// payload against its retained digest (occulted journals carry an empty
+// payload and are exempt: the digest IS the record, per Protocol 2).
+// `pinned` is a checkpoint's tx-hash for the snapshot's own copy of a
+// journal, whose bytes the manifest's signed SHA-256 already pins: the
+// payload re-hash is skipped and the tx-hash taken as given.
+Status DecodeRecord(uint64_t index, const Bytes& raw, const Digest* pinned,
+                    JournalDelta* delta, std::optional<Journal>* journal) {
+  if (IsTombstoneFrame(raw)) {
+    if (!DecodeTombstone(raw, delta)) {
+      return Status::Corruption("undecodable purge tombstone");
+    }
+    journal->reset();
+    return Status::OK();
+  }
+  Journal& record = journal->emplace();
+  if (!Journal::Deserialize(raw, &record)) {
+    return Status::Corruption("undecodable journal record at index " +
+                              std::to_string(index));
+  }
+  if (record.jsn != index) {
+    return Status::Corruption("journal stream out of order");
+  }
+  if (index == 0 && record.type != JournalType::kGenesis) {
+    // Position 0 is either the genesis journal or (after a full purge)
+    // its tombstone — anything else means the stream head was replaced.
+    return Status::Corruption("journal stream does not begin with genesis");
+  }
+  if (pinned == nullptr && !record.payload.empty() &&
+      !(Sha256::Hash(record.payload) == record.payload_digest)) {
+    return Status::Corruption("journal payload digest mismatch at jsn " +
+                              std::to_string(index));
+  }
+  delta->tx_hash = pinned != nullptr ? *pinned : record.TxHash();
+  delta->payload_digest = record.payload_digest;
+  delta->clues = record.clues;
+  return Status::OK();
+}
+
+// The dedup signer id of `key`, or null if the key is invalid (no signer).
+// Key validation and id derivation (a curve check, SHA-256 and hex)
+// dominate replay for busy clients; distinct clients are bounded by the
+// member registry, so a linear scan over seen keys beats redoing them for
+// every record. The pointer is valid until the next call.
+const std::string* SignerId(
+    const PublicKey& key, std::vector<std::pair<PublicKey, std::string>>* memo) {
+  for (const auto& seen : *memo) {
+    if (seen.first == key) return &seen.second;
+  }
+  if (!key.valid()) return nullptr;
+  memo->emplace_back(key, key.Id().ToHex());
+  return &memo->back().second;
+}
+
+Digest TxRoot(const std::vector<Digest>& tx_hashes) {
+  ShrubsAccumulator tx_tree;
+  for (const Digest& tx_hash : tx_hashes) tx_tree.Append(tx_hash);
+  return tx_tree.Root();
 }
 
 // Cheap wire-size estimates for proof-cache accounting: inserting a memo
@@ -218,7 +275,6 @@ Ledger::Ledger(RecoveryTag, std::string uri, const LedgerOptions& options,
       lsp_key_(std::move(lsp_key)),
       members_(members),
       storage_(storage),
-      recovering_(true),
       proof_cache_(options.enable_proof_cache ? std::make_unique<ProofCache>(
                                                     options.proof_cache_bytes)
                                               : nullptr),
@@ -227,46 +283,19 @@ Ledger::Ledger(RecoveryTag, std::string uri, const LedgerOptions& options,
   if (proof_cache_ != nullptr) fam_.SetProofCache(proof_cache_.get());
 }
 
-Status Ledger::CommitJournal(Journal journal, uint64_t* out_jsn,
-                             bool persist) {
-  uint64_t jsn = journals_.size();
-  journal.jsn = jsn;
-
-  // Persist first: a failed stream write leaves every accumulator
-  // untouched, so memory and disk never disagree about the journal count.
-  if (persist && storage_.enabled()) {
-    uint64_t index = 0;
-    LEDGERDB_RETURN_IF_ERROR(
-        storage_.journals->Append(Slice(journal.Serialize()), &index));
-    if (index != jsn) {
-      return Status::Corruption("journal stream out of sync with ledger (" +
-                                std::to_string(index) + " vs " +
-                                std::to_string(jsn) + ")");
+void Ledger::ApplyRecord(JournalDelta&& delta,
+                         std::optional<Journal>&& journal, bool accumulate,
+                         SignerIds* signer_ids) {
+  const uint64_t jsn = journals_.size();
+  if (accumulate) {
+    fam_.Append(delta.tx_hash);
+    for (const std::string& clue : delta.clues) {
+      cmtree_.Append(clue, delta.tx_hash, nullptr);
+      world_state_.Put(clue, delta.payload_digest.ToBytes());
     }
   }
-  return ApplyCommitted(std::move(journal), out_jsn);
-}
-
-Status Ledger::ApplyCommitted(Journal journal, uint64_t* out_jsn) {
-  uint64_t jsn = journals_.size();
-  journal.jsn = jsn;
-  Digest tx_hash = journal.TxHash();
-
-  fam_.Append(tx_hash);
-  for (const std::string& clue : journal.clues) {
-    cmtree_.Append(clue, tx_hash, nullptr);
-    clue_index_.Append(clue, jsn);
-    world_state_.Put(clue, journal.payload_digest.ToBytes());
-  }
-  delta_log_.push_back({tx_hash, journal.payload_digest, journal.clues});
-  if (journal.client_key.valid()) {
-    dedup_[journal.client_key.Id().ToHex()][journal.nonce] = {
-        jsn, journal.request_hash};
-  }
-
-  // Keeps the monotone-stamp high-water mark in sync on recovery replay,
-  // where journals arrive with their recorded timestamps.
-  last_server_ts_ = std::max(last_server_ts_, journal.server_ts);
+  for (const std::string& clue : delta.clues) clue_index_.Append(clue, jsn);
+  delta_log_.push_back(std::move(delta));
   journals_.push_back(std::move(journal));
   occult_bitmap_.Resize(jsn + 1);
   {
@@ -274,22 +303,18 @@ Status Ledger::ApplyCommitted(Journal journal, uint64_t* out_jsn) {
     std::lock_guard<std::mutex> lock(seal_mu_);
     jsn_to_block_.push_back(kUnsealedBlock);
   }
-  if (out_jsn != nullptr) *out_jsn = jsn;
-  if (!recovering_) {
-    pending_block_.push_back(jsn);
-    // The journal itself is durable at this point; a failed seal surfaces
-    // the error but the journals stay queued for the next seal attempt.
-    if (pending_block_.size() >= options_.block_capacity) {
-      if (seal_scheduler_) {
-        SealJob job;
-        PrepareSeal(&job);
-        seal_scheduler_(std::move(job));
-      } else {
-        LEDGERDB_RETURN_IF_ERROR(SealBlock());
-      }
-    }
+  if (!journals_[jsn].has_value()) return;  // purge tombstone
+  const Journal& applied = *journals_[jsn];
+  if (const std::string* signer = SignerId(applied.client_key, signer_ids)) {
+    dedup_[*signer][applied.nonce] = {jsn, applied.request_hash};
   }
-  return Status::OK();
+  // Keeps the monotone-stamp high-water mark in sync on recovery, where
+  // journals arrive with their recorded timestamps.
+  last_server_ts_ = std::max(last_server_ts_, applied.server_ts);
+  // A rewritten record's occult flag restores its bit (covers both the
+  // single-journal and by-clue occult forms).
+  if (applied.occulted) occult_bitmap_.Set(jsn);
+  ApplyJournalEffects(applied);
 }
 
 Status Ledger::AppendInternal(JournalType type,
@@ -306,18 +331,18 @@ Status Ledger::AppendInternal(JournalType type,
   tx.client_ts = clock_->Now();
   tx.Sign(lsp_key_);
 
-  Journal journal;
+  PrevalidatedTx prepared;
+  Journal& journal = prepared.journal;
   journal.type = type;
   journal.nonce = tx.nonce;
-  journal.server_ts = StampServerTime();
   journal.clues = clues;
-  journal.payload = tx.payload;
   journal.payload_digest = Sha256::Hash(tx.payload);
   journal.request_hash = tx.RequestHash();
+  journal.payload = std::move(tx.payload);
   journal.client_key = tx.client_key;
   journal.client_sig = tx.client_sig;
   journal.endorsements = std::move(endorsements);
-  return CommitJournal(std::move(journal), jsn);
+  return CommitOne(std::move(prepared), jsn);
 }
 
 Status Ledger::Prevalidate(const ClientTransaction& tx,
@@ -393,8 +418,14 @@ void Ledger::PrevalidateBatch(std::span<const ClientTransaction* const> txs,
 }
 
 Status Ledger::Append(const ClientTransaction& tx, uint64_t* jsn) {
-  std::vector<PrevalidatedTx> group(1);
-  LEDGERDB_RETURN_IF_ERROR(Prevalidate(tx, &group[0]));
+  PrevalidatedTx prepared;
+  LEDGERDB_RETURN_IF_ERROR(Prevalidate(tx, &prepared));
+  return CommitOne(std::move(prepared), jsn);
+}
+
+Status Ledger::CommitOne(PrevalidatedTx&& tx, uint64_t* jsn) {
+  std::vector<PrevalidatedTx> group;
+  group.push_back(std::move(tx));
   std::vector<uint64_t> jsns;
   std::vector<Status> statuses;
   Status status = CommitPrevalidatedGroup(std::move(group), &jsns, &statuses);
@@ -424,10 +455,11 @@ Status Ledger::CommitPrevalidatedGroup(std::vector<PrevalidatedTx>&& batch,
   std::vector<size_t> group_hits;  // converged on a jsn assigned this group
   std::unordered_map<std::string, std::unordered_map<uint64_t, size_t>>
       group_nonces;  // signer -> nonce -> index into `batch`
+  SignerIds signer_ids;
   for (size_t i = 0; i < n; ++i) {
     Journal& journal = batch[i].journal;
-    if (journal.client_key.valid()) {
-      const std::string signer_id = journal.client_key.Id().ToHex();
+    if (const std::string* id = SignerId(journal.client_key, &signer_ids)) {
+      const std::string& signer_id = *id;
       const DedupEntry* prior = nullptr;
       DedupEntry group_entry;
       auto signer = dedup_.find(signer_id);
@@ -506,11 +538,28 @@ Status Ledger::CommitPrevalidatedGroup(std::vector<PrevalidatedTx>&& batch,
   // the boundary stays queued for the next seal attempt.
   Status seal_status;
   for (size_t idx : live) {
-    uint64_t jsn = 0;
-    Status apply = ApplyCommitted(std::move(batch[idx].journal), &jsn);
-    if (!apply.ok() && seal_status.ok()) seal_status = apply;
+    Journal& journal = batch[idx].journal;
+    const uint64_t jsn = journal.jsn;
+    JournalDelta delta{journal.TxHash(), journal.payload_digest, journal.clues};
+    ApplyRecord(std::move(delta), std::move(journal), /*accumulate=*/true,
+                &signer_ids);
     (*jsns)[idx] = jsn;
     LEDGERDB_OBS_COUNT(obs::names::kLedgerAppendsTotal);
+    pending_block_.push_back(jsn);
+    if (pending_block_.size() < options_.block_capacity) continue;
+    if (seal_scheduler_) {
+      SealJob job;
+      PrepareSeal(&job);
+      {
+        std::lock_guard<std::mutex> lock(seal_mu_);
+        ++inflight_seals_;
+      }
+      pending_block_.clear();
+      seal_scheduler_(std::move(job));
+    } else {
+      Status seal = SealBlock();
+      if (!seal.ok() && seal_status.ok()) seal_status = seal;
+    }
   }
   return seal_status;
 }
@@ -534,35 +583,12 @@ Status Ledger::SealBlockLocked() {
   }
   if (pending_block_.empty()) return Status::OK();
   LEDGERDB_OBS_SPAN(span, obs::stages::kSeal);
-  ShrubsAccumulator tx_tree;
-  for (uint64_t jsn : pending_block_) {
-    tx_tree.Append(delta_log_[jsn].tx_hash);
-  }
-  BlockHeader header;
-  header.height = blocks_.size();
-  header.first_jsn = pending_block_.front();
-  header.journal_count = static_cast<uint32_t>(pending_block_.size());
-  header.timestamp = clock_->Now();
-  header.prev_block_hash = blocks_.empty() ? Digest() : blocks_.back().Hash();
-  header.tx_root = tx_tree.Root();
-  header.fam_root = fam_.Root();
-  header.clue_root = cmtree_.Root();
-  header.state_root = world_state_.Root();
-  // Persist before mutating: a failed header write keeps the journals in
-  // pending_block_, and recovery simply sees them as not-yet-sealed.
-  if (storage_.enabled()) {
-    uint64_t index = 0;
-    LEDGERDB_RETURN_IF_ERROR(
-        storage_.blocks->Append(Slice(header.Serialize()), &index));
-  }
-  for (uint64_t jsn : pending_block_) jsn_to_block_[jsn] = header.height;
-  blocks_.push_back(header);
+  SealJob job;
+  PrepareSeal(&job);
+  // A failed header write keeps the journals in pending_block_, and
+  // recovery simply sees them as not-yet-sealed.
+  LEDGERDB_RETURN_IF_ERROR(PublishSealLocked(job, TxRoot(job.tx_hashes)));
   pending_block_.clear();
-  LEDGERDB_OBS_COUNT(obs::names::kLedgerBlocksSealedTotal);
-  // Seal published: the roots moved past every cached serialized proof's
-  // stamp, so reclaim those bytes now (stale stamps are never served
-  // regardless — this is garbage collection, not correctness).
-  if (proof_cache_ != nullptr) proof_cache_->DropBlobs();
   seal_cv_.notify_all();
   return Status::OK();
 }
@@ -581,52 +607,46 @@ void Ledger::PrepareSeal(SealJob* job) {
   job->fam_root = fam_.Root();
   job->clue_root = cmtree_.Root();
   job->state_root = world_state_.Root();
-  {
-    std::lock_guard<std::mutex> lock(seal_mu_);
-    ++inflight_seals_;
+}
+
+Status Ledger::PublishSealLocked(const SealJob& job, const Digest& tx_root) {
+  BlockHeader header;
+  header.height = blocks_.size();
+  header.first_jsn = job.first_jsn;
+  header.journal_count = static_cast<uint32_t>(job.tx_hashes.size());
+  header.timestamp = job.timestamp;
+  header.prev_block_hash = blocks_.empty() ? Digest() : blocks_.back().Hash();
+  header.tx_root = tx_root;
+  header.fam_root = job.fam_root;
+  header.clue_root = job.clue_root;
+  header.state_root = job.state_root;
+  if (storage_.enabled()) {
+    uint64_t index = 0;
+    LEDGERDB_RETURN_IF_ERROR(
+        storage_.blocks->Append(Slice(header.Serialize()), &index));
   }
-  pending_block_.clear();
+  for (uint64_t i = 0; i < header.journal_count; ++i) {
+    jsn_to_block_[job.first_jsn + i] = header.height;
+  }
+  blocks_.push_back(header);
+  LEDGERDB_OBS_COUNT(obs::names::kLedgerBlocksSealedTotal);
+  // Seal published: the roots moved past every cached serialized proof's
+  // stamp, so reclaim those bytes now (stale stamps are never served
+  // regardless — this is garbage collection, not correctness).
+  if (proof_cache_ != nullptr) proof_cache_->DropBlobs();
+  return Status::OK();
 }
 
 void Ledger::CompleteSeal(SealJob&& job) {
   LEDGERDB_OBS_SPAN(span, obs::stages::kSeal);
   // The intra-block tx tree only needs the frozen hashes — build it
   // before taking the lock.
-  ShrubsAccumulator tx_tree;
-  for (const Digest& tx_hash : job.tx_hashes) tx_tree.Append(tx_hash);
-
+  const Digest tx_root = TxRoot(job.tx_hashes);
   std::unique_lock<std::mutex> lock(seal_mu_);
-  Status status;
-  if (!seal_failure_.ok()) {
-    // An earlier job in the lane failed; blocks must stay contiguous, so
-    // this one cannot seal either.
-    status = seal_failure_;
-  } else {
-    BlockHeader header;
-    header.height = blocks_.size();
-    header.first_jsn = job.first_jsn;
-    header.journal_count = static_cast<uint32_t>(job.tx_hashes.size());
-    header.timestamp = job.timestamp;
-    header.prev_block_hash =
-        blocks_.empty() ? Digest() : blocks_.back().Hash();
-    header.tx_root = tx_tree.Root();
-    header.fam_root = job.fam_root;
-    header.clue_root = job.clue_root;
-    header.state_root = job.state_root;
-    if (storage_.enabled()) {
-      uint64_t index = 0;
-      status = storage_.blocks->Append(Slice(header.Serialize()), &index);
-    }
-    if (status.ok()) {
-      for (size_t i = 0; i < job.tx_hashes.size(); ++i) {
-        jsn_to_block_[job.first_jsn + i] = header.height;
-      }
-      blocks_.push_back(header);
-      LEDGERDB_OBS_COUNT(obs::names::kLedgerBlocksSealedTotal);
-      // Same seal-time blob GC as the inline path (see SealBlockLocked).
-      if (proof_cache_ != nullptr) proof_cache_->DropBlobs();
-    }
-  }
+  // After an earlier job in the lane failed, this one cannot seal either:
+  // blocks must stay contiguous.
+  Status status =
+      seal_failure_.ok() ? PublishSealLocked(job, tx_root) : seal_failure_;
   if (!status.ok()) {
     seal_failure_ = status;
     for (size_t i = 0; i < job.tx_hashes.size(); ++i) {
@@ -881,12 +901,8 @@ Status Ledger::AnchorTime(uint64_t* time_jsn) {
     // time journal below.
     evidence.attestation = direct_tsa_->Endorse(evidence.ledger_digest);
   }
-  uint64_t jsn = 0;
-  LEDGERDB_RETURN_IF_ERROR(AppendInternal(JournalType::kTime, {},
-                                          evidence.Serialize(), {}, &jsn));
-  time_journals_.push_back({jsn, evidence});
-  if (time_jsn != nullptr) *time_jsn = jsn;
-  return Status::OK();
+  return AppendInternal(JournalType::kTime, {}, evidence.Serialize(), {},
+                        time_jsn);
 }
 
 // ---------------------------------------------------------------------------
@@ -946,6 +962,12 @@ Status Ledger::Purge(uint64_t purge_before_jsn,
           "purge requires signatures from all affected members");
     }
   }
+  for (uint64_t jsn : survivors) {
+    if (jsn < purged_boundary_ || jsn >= purge_before_jsn ||
+        !journals_[jsn].has_value()) {
+      return Status::InvalidArgument("survivor outside purge range");
+    }
+  }
 
   // Snapshot states at the purge point (clue and membership status live on
   // in the pseudo genesis).
@@ -957,6 +979,9 @@ Status Ledger::Purge(uint64_t purge_before_jsn,
   for (const Digest* d : {&fam_root, &clue_root, &state_root}) {
     snapshot.insert(snapshot.end(), d->bytes.begin(), d->bytes.end());
   }
+  // Committing the purge journal raises purged_boundary_ (its journal
+  // effect), so the erasure below starts from the boundary captured here.
+  const uint64_t purge_from = purged_boundary_;
   uint64_t pg_jsn = 0;
   LEDGERDB_RETURN_IF_ERROR(AppendInternal(JournalType::kPseudoGenesis, {},
                                           std::move(snapshot), {}, &pg_jsn));
@@ -973,10 +998,6 @@ Status Ledger::Purge(uint64_t purge_before_jsn,
 
   // Copy milestone journals into the survival stream before erasure.
   for (uint64_t jsn : survivors) {
-    if (jsn < purged_boundary_ || jsn >= purge_before_jsn ||
-        !journals_[jsn].has_value()) {
-      return Status::InvalidArgument("survivor outside purge range");
-    }
     uint64_t index;
     survival_stream_.Append(Slice(journals_[jsn]->Serialize()), &index);
   }
@@ -987,14 +1008,9 @@ Status Ledger::Purge(uint64_t purge_before_jsn,
   // digest-only tombstone. The purge journal above is already durable, so
   // a crash mid-loop is self-healing: recovery replays the boundary and
   // finishes tombstoning the stragglers.
-  for (uint64_t jsn = purged_boundary_; jsn < purge_before_jsn; ++jsn) {
-    if (journals_[jsn].has_value()) {
-      LEDGERDB_RETURN_IF_ERROR(PersistTombstone(jsn, *journals_[jsn]));
-    }
-    journals_[jsn].reset();
+  for (uint64_t jsn = purge_from; jsn < purge_before_jsn; ++jsn) {
+    LEDGERDB_RETURN_IF_ERROR(Tombstone(jsn));
   }
-  purged_boundary_ = purge_before_jsn;
-  pseudo_genesis_jsns_.push_back(pg_jsn);
   if (options_.prune_fam_on_purge && purge_before_jsn > 0) {
     // Drop fam interiors for epochs wholly before the purge point; the
     // epoch containing the boundary stays intact.
@@ -1022,38 +1038,9 @@ Status Ledger::Occult(uint64_t jsn, const std::vector<Endorsement>& endorsements
     return Status::InvalidArgument("only normal journals can be occulted");
   }
 
-  // Prerequisite 2: DBA + regulator multi-signatures.
-  Digest request = OccultRequestHash(uri_, jsn);
-  bool dba_signed = false, regulator_signed = false;
-  for (const Endorsement& e : endorsements) {
-    if (!VerifySignature(e.key, request, e.signature)) {
-      return Status::VerificationFailed("invalid occult endorsement signature");
-    }
-    if (members_ != nullptr) {
-      if (members_->HasRole(e.key, Role::kDba)) dba_signed = true;
-      if (members_->HasRole(e.key, Role::kRegulator)) regulator_signed = true;
-    }
-  }
-  if (members_ != nullptr && (!dba_signed || !regulator_signed)) {
-    return Status::PermissionDenied(
-        "occult requires DBA and regulator signatures");
-  }
-
-  // Set the occult bit first (the journal is immediately unretrievable),
-  // then erase synchronously or defer to the reorganization utility.
-  // Occulting changes what reads return without moving any root, so
-  // root-stamped response memos must go too — a stale wire memo would
-  // leak the occulted payload.
-  if (proof_cache_ != nullptr) proof_cache_->DropBlobs();
-  occult_bitmap_.Set(jsn);
-  journals_[jsn]->occulted = true;
-  if (options_.sync_occult_erasure) {
-    LEDGERDB_RETURN_IF_ERROR(ErasePayload(jsn));
-  } else {
-    // Flag flip reaches disk before the erasure does.
-    LEDGERDB_RETURN_IF_ERROR(PersistRewrite(jsn));
-    pending_occult_.push_back(jsn);
-  }
+  LEDGERDB_RETURN_IF_ERROR(
+      CheckOccultEndorsements(OccultRequestHash(uri_, jsn), endorsements));
+  LEDGERDB_RETURN_IF_ERROR(HideJournal(jsn));
 
   Bytes payload = StringToBytes("occult");
   PutU64(&payload, jsn);
@@ -1076,7 +1063,27 @@ Status Ledger::OccultByClue(const std::string& clue,
   if (postings == nullptr) return Status::NotFound("unknown clue");
 
   // Prerequisite 2, at clue granularity.
-  Digest request = OccultClueRequestHash(uri_, clue);
+  LEDGERDB_RETURN_IF_ERROR(CheckOccultEndorsements(
+      OccultClueRequestHash(uri_, clue), endorsements));
+  size_t count = 0;
+  for (uint64_t jsn : *postings) {
+    if (jsn < purged_boundary_ || !journals_[jsn].has_value()) continue;
+    if (occult_bitmap_.Get(jsn)) continue;
+    if (journals_[jsn]->type != JournalType::kNormal) continue;
+    LEDGERDB_RETURN_IF_ERROR(HideJournal(jsn));
+    ++count;
+  }
+  if (occulted_count != nullptr) *occulted_count = count;
+
+  Bytes payload = StringToBytes("occult-clue");
+  PutLengthPrefixed(&payload, StringToBytes(clue));
+  PutU64(&payload, count);
+  return AppendInternal(JournalType::kOccult, {}, std::move(payload),
+                        endorsements, occult_jsn);
+}
+
+Status Ledger::CheckOccultEndorsements(
+    const Digest& request, const std::vector<Endorsement>& endorsements) const {
   bool dba_signed = false, regulator_signed = false;
   for (const Endorsement& e : endorsements) {
     if (!VerifySignature(e.key, request, e.signature)) {
@@ -1091,32 +1098,22 @@ Status Ledger::OccultByClue(const std::string& clue,
     return Status::PermissionDenied(
         "occult requires DBA and regulator signatures");
   }
+  return Status::OK();
+}
 
-  // Same memo-privacy rule as the single-journal form: occulted payloads
-  // must not survive in root-stamped response memos.
+Status Ledger::HideJournal(uint64_t jsn) {
+  // The bit goes first: the journal is unretrievable from here on.
+  // Occulting changes what reads return without moving any root, so
+  // root-stamped response memos must go too — a stale wire memo would
+  // leak the occulted payload.
   if (proof_cache_ != nullptr) proof_cache_->DropBlobs();
-  size_t count = 0;
-  for (uint64_t jsn : *postings) {
-    if (jsn < purged_boundary_ || !journals_[jsn].has_value()) continue;
-    if (occult_bitmap_.Get(jsn)) continue;
-    if (journals_[jsn]->type != JournalType::kNormal) continue;
-    occult_bitmap_.Set(jsn);
-    journals_[jsn]->occulted = true;
-    if (options_.sync_occult_erasure) {
-      LEDGERDB_RETURN_IF_ERROR(ErasePayload(jsn));
-    } else {
-      LEDGERDB_RETURN_IF_ERROR(PersistRewrite(jsn));
-      pending_occult_.push_back(jsn);
-    }
-    ++count;
-  }
-  if (occulted_count != nullptr) *occulted_count = count;
-
-  Bytes payload = StringToBytes("occult-clue");
-  PutLengthPrefixed(&payload, StringToBytes(clue));
-  PutU64(&payload, count);
-  return AppendInternal(JournalType::kOccult, {}, std::move(payload),
-                        endorsements, occult_jsn);
+  occult_bitmap_.Set(jsn);
+  journals_[jsn]->occulted = true;
+  if (options_.sync_occult_erasure) return ErasePayload(jsn);
+  // Flag flip reaches disk before the erasure does.
+  LEDGERDB_RETURN_IF_ERROR(PersistRewrite(jsn));
+  pending_occult_.push_back(jsn);
+  return Status::OK();
 }
 
 Status Ledger::ResolveClueRange(const std::string& clue, Timestamp from,
@@ -1197,9 +1194,28 @@ Status Ledger::PersistRewrite(uint64_t jsn) {
   return storage_.journals->Overwrite(jsn, Slice(journals_[jsn]->Serialize()));
 }
 
-Status Ledger::PersistTombstone(uint64_t jsn, const Journal& journal) {
-  if (!storage_.enabled()) return Status::OK();
-  return storage_.journals->Overwrite(jsn, Slice(EncodeTombstone(journal)));
+Status Ledger::Tombstone(uint64_t jsn) {
+  if (!journals_[jsn].has_value()) return Status::OK();
+  const Journal& journal = *journals_[jsn];
+  if (storage_.enabled()) {
+    LEDGERDB_RETURN_IF_ERROR(
+        storage_.journals->Overwrite(jsn, Slice(EncodeTombstone(journal))));
+  }
+  // A purged journal must not pin its client's nonce: the dedup horizon
+  // ends at the purge boundary.
+  if (journal.client_key.valid()) {
+    auto it = dedup_.find(journal.client_key.Id().ToHex());
+    if (it != dedup_.end()) {
+      auto nit = it->second.find(journal.nonce);
+      if (nit != it->second.end() && nit->second.jsn == jsn) {
+        it->second.erase(nit);
+        if (it->second.empty()) dedup_.erase(it);
+      }
+    }
+  }
+  occult_bitmap_.Clear(jsn);
+  journals_[jsn].reset();
+  return Status::OK();
 }
 
 size_t Ledger::ReorganizeOcculted() {
@@ -1223,23 +1239,28 @@ void Ledger::ApplyJournalEffects(const Journal& journal) {
       if (GetU64(journal.payload, &pos, &purge_before) &&
           purge_before > purged_boundary_) {
         purged_boundary_ = purge_before;
+        // Purged journals leave no time evidence or pending erasure behind
+        // (their records are tombstoned next, or on recovery).
+        std::erase_if(time_journals_, [&](const TimeJournalInfo& info) {
+          return info.jsn < purge_before;
+        });
+        std::erase_if(pending_occult_,
+                      [&](uint64_t jsn) { return jsn < purge_before; });
       }
       break;
     }
     case JournalType::kOccult: {
       // Single-journal form only: "occult" + u64. The by-clue form
-      // ("occult-clue" + ...) needs no replay here because each hidden
+      // ("occult-clue" + ...) needs no effect here because each hidden
       // journal's record was rewritten with its occult flag set.
       size_t prefix = StringToBytes("occult").size();
       if (journal.payload.size() == prefix + 8) {
         size_t pos = prefix;
         uint64_t target = 0;
         if (GetU64(journal.payload, &pos, &target) &&
-            target < occult_bitmap_.size()) {
+            target < journals_.size() && journals_[target].has_value()) {
           occult_bitmap_.Set(target);
-          if (journals_[target].has_value()) {
-            journals_[target]->occulted = true;
-          }
+          journals_[target]->occulted = true;
         }
       }
       break;
@@ -1259,140 +1280,17 @@ void Ledger::ApplyJournalEffects(const Journal& journal) {
   }
 }
 
-Status Ledger::ReplayRecord(uint64_t index, const Bytes& raw) {
-  if (IsTombstoneFrame(raw)) {
-    Tombstone tombstone;
-    if (!DecodeTombstone(raw, &tombstone)) {
-      return Status::Corruption("undecodable purge tombstone");
-    }
-    // Digest-only replay of a purged journal.
-    fam_.Append(tombstone.tx_hash);
-    for (const std::string& clue : tombstone.clues) {
-      cmtree_.Append(clue, tombstone.tx_hash, nullptr);
-      clue_index_.Append(clue, index);
-      world_state_.Put(clue, tombstone.payload_digest.ToBytes());
-    }
-    delta_log_.push_back(
-        {tombstone.tx_hash, tombstone.payload_digest, tombstone.clues});
-    journals_.push_back(std::nullopt);
-    occult_bitmap_.Resize(index + 1);
-    jsn_to_block_.push_back(kUnsealedBlock);
-    return Status::OK();
+Status Ledger::ReplayStream(uint64_t from, uint64_t to) {
+  SignerIds signer_ids;
+  Bytes raw;
+  for (uint64_t i = from; i < to; ++i) {
+    LEDGERDB_RETURN_IF_ERROR(storage_.journals->Read(i, &raw));
+    JournalDelta delta;
+    std::optional<Journal> journal;
+    LEDGERDB_RETURN_IF_ERROR(DecodeRecord(i, raw, nullptr, &delta, &journal));
+    ApplyRecord(std::move(delta), std::move(journal), /*accumulate=*/true,
+                &signer_ids);
   }
-  Journal journal;
-  if (!Journal::Deserialize(raw, &journal)) {
-    return Status::Corruption("undecodable journal record at index " +
-                              std::to_string(index));
-  }
-  if (journal.jsn != index) {
-    return Status::Corruption("journal stream out of order");
-  }
-  if (index == 0 && journal.type != JournalType::kGenesis) {
-    // Position 0 is either the genesis journal or (after a full purge)
-    // its tombstone — anything else means the stream head was replaced.
-    return Status::Corruption("journal stream does not begin with genesis");
-  }
-  // A present payload must still match its retained digest (occulted
-  // journals carry an empty payload and are exempt: the digest IS the
-  // record, per Protocol 2).
-  if (!journal.payload.empty() &&
-      !(Sha256::Hash(journal.payload) == journal.payload_digest)) {
-    return Status::Corruption("journal payload digest mismatch at jsn " +
-                              std::to_string(index));
-  }
-  uint64_t assigned = 0;
-  LEDGERDB_RETURN_IF_ERROR(
-      CommitJournal(journal, &assigned, /*persist=*/false));
-  // Restore the occult bit from the rewritten record's flag (covers both
-  // the single-journal and by-clue occult forms).
-  if (journals_[assigned]->occulted) {
-    occult_bitmap_.Set(assigned);
-  }
-  ApplyJournalEffects(*journals_[assigned]);
-  return Status::OK();
-}
-
-Status Ledger::RestoreIndexedRecord(
-    uint64_t index, const Bytes& raw, const Digest& tx_hash,
-    std::vector<std::pair<PublicKey, std::string>>* key_ids, bool trusted) {
-  if (IsTombstoneFrame(raw)) {
-    Tombstone tombstone;
-    if (!DecodeTombstone(raw, &tombstone)) {
-      return Status::Corruption("undecodable purge tombstone");
-    }
-    if (tombstone.tx_hash != tx_hash) {
-      return Status::Corruption(
-          "checkpoint: tombstone tx-hash diverges from snapshot at jsn " +
-          std::to_string(index));
-    }
-    for (const std::string& clue : tombstone.clues) {
-      clue_index_.Append(clue, index);
-    }
-    delta_log_.push_back(
-        {tombstone.tx_hash, tombstone.payload_digest, tombstone.clues});
-    journals_.push_back(std::nullopt);
-    occult_bitmap_.Resize(index + 1);
-    jsn_to_block_.push_back(kUnsealedBlock);
-    return Status::OK();
-  }
-  Journal journal;
-  if (!Journal::Deserialize(raw, &journal)) {
-    return Status::Corruption("undecodable journal record at index " +
-                              std::to_string(index));
-  }
-  if (journal.jsn != index) {
-    return Status::Corruption("journal stream out of order");
-  }
-  if (index == 0 && journal.type != JournalType::kGenesis) {
-    return Status::Corruption("journal stream does not begin with genesis");
-  }
-  if (!trusted) {
-    // The stream bytes diverge from the snapshot — legitimate only for
-    // post-checkpoint occult rewrites and purge tombstones, which never
-    // change a record's tx-hash. Re-validate at full replay strength and
-    // require the recomputed tx-hash to equal the snapshot's: anything
-    // else is tampering and rejects the checkpoint.
-    if (!journal.payload.empty() &&
-        !(Sha256::Hash(journal.payload) == journal.payload_digest)) {
-      return Status::Corruption("journal payload digest mismatch at jsn " +
-                                std::to_string(index));
-    }
-    if (journal.TxHash() != tx_hash) {
-      return Status::Corruption(
-          "checkpoint: stream tx-hash diverges from snapshot at jsn " +
-          std::to_string(index));
-    }
-  }
-  for (const std::string& clue : journal.clues) {
-    clue_index_.Append(clue, index);
-  }
-  delta_log_.push_back({tx_hash, journal.payload_digest, journal.clues});
-  if (journal.client_key.valid()) {
-    // Client-id derivation (SHA-256 + hex) dominates this loop for busy
-    // clients; distinct clients are bounded by the member registry, so a
-    // linear scan over seen keys beats hashing every record.
-    std::string* id_hex = nullptr;
-    for (auto& seen : *key_ids) {
-      if (seen.first == journal.client_key) {
-        id_hex = &seen.second;
-        break;
-      }
-    }
-    if (id_hex == nullptr) {
-      key_ids->emplace_back(journal.client_key,
-                            journal.client_key.Id().ToHex());
-      id_hex = &key_ids->back().second;
-    }
-    dedup_[*id_hex][journal.nonce] = {index, journal.request_hash};
-  }
-  last_server_ts_ = std::max(last_server_ts_, journal.server_ts);
-  journals_.push_back(std::move(journal));
-  occult_bitmap_.Resize(index + 1);
-  jsn_to_block_.push_back(kUnsealedBlock);
-  if (journals_[index]->occulted) {
-    occult_bitmap_.Set(index);
-  }
-  ApplyJournalEffects(*journals_[index]);
   return Status::OK();
 }
 
@@ -1403,22 +1301,7 @@ Status Ledger::FinishRecovery(uint64_t n) {
   // (a) A crash between the purge journal's append and the tombstone loop
   //     leaves journals below the boundary untombstoned: finish the job.
   for (uint64_t jsn = 0; jsn < purged_boundary_; ++jsn) {
-    if (!journals_[jsn].has_value()) continue;
-    LEDGERDB_RETURN_IF_ERROR(PersistTombstone(jsn, *journals_[jsn]));
-    // Drop the nonce bookkeeping with the record, exactly as replaying
-    // the tombstone would have: a purged journal must not pin its
-    // client's nonce (the dedup horizon ends at the purge boundary).
-    if (journals_[jsn]->client_key.valid()) {
-      auto it = dedup_.find(journals_[jsn]->client_key.Id().ToHex());
-      if (it != dedup_.end()) {
-        auto nit = it->second.find(journals_[jsn]->nonce);
-        if (nit != it->second.end() && nit->second.jsn == jsn) {
-          it->second.erase(nit);
-          if (it->second.empty()) dedup_.erase(it);
-        }
-      }
-    }
-    journals_[jsn].reset();
+    LEDGERDB_RETURN_IF_ERROR(Tombstone(jsn));
   }
   // (b) An occulted journal whose payload is still on disk was cut off
   //     before its physical erasure: erase now (synchronous mode) or
@@ -1474,8 +1357,6 @@ Status Ledger::FinishRecovery(uint64_t n) {
   for (uint64_t jsn = covered; jsn < n; ++jsn) {
     pending_block_.push_back(jsn);
   }
-
-  recovering_ = false;
 
   // A crash can land between a block boundary and its (asynchronous)
   // seal completing: the journals are durable but their block header
@@ -1626,7 +1507,7 @@ Status Ledger::RecoverFromCheckpoint(const CheckpointManifest& manifest,
   jsn_to_block_.reserve(n);
   delta_log_.reserve(n);
   Bytes snapshot_record, stream_record;
-  std::vector<std::pair<PublicKey, std::string>> key_ids;
+  SignerIds signer_ids;
   for (uint64_t i = 0; i < manifest.watermark; ++i) {
     uint32_t snapshot_crc = 0;
     if (!GetLengthPrefixed(jraw, &jpos, &snapshot_record) ||
@@ -1643,15 +1524,26 @@ Status Ledger::RecoverFromCheckpoint(const CheckpointManifest& manifest,
     tpos += 32;
     uint32_t stream_crc = 0;
     LEDGERDB_RETURN_IF_ERROR(storage_.journals->RecordCrc(i, &stream_crc));
-    if (stream_crc == snapshot_crc) {
-      LEDGERDB_RETURN_IF_ERROR(RestoreIndexedRecord(
-          i, snapshot_record, tx_hash, &key_ids, /*trusted=*/true));
-    } else {
+    const bool pinned = stream_crc == snapshot_crc;
+    if (!pinned) {
       ++reconciled;
       LEDGERDB_RETURN_IF_ERROR(storage_.journals->Read(i, &stream_record));
-      LEDGERDB_RETURN_IF_ERROR(RestoreIndexedRecord(
-          i, stream_record, tx_hash, &key_ids, /*trusted=*/false));
     }
+    JournalDelta delta;
+    std::optional<Journal> journal;
+    LEDGERDB_RETURN_IF_ERROR(
+        DecodeRecord(i, pinned ? snapshot_record : stream_record,
+                     pinned ? &tx_hash : nullptr, &delta, &journal));
+    // A rewrite is legitimate only as a post-checkpoint occult or purge
+    // tombstone, neither of which changes a record's tx-hash: anything
+    // else is tampering and rejects the checkpoint.
+    if (delta.tx_hash != tx_hash) {
+      return Status::Corruption(
+          "checkpoint: record tx-hash diverges from snapshot at jsn " +
+          std::to_string(i));
+    }
+    ApplyRecord(std::move(delta), std::move(journal), /*accumulate=*/false,
+                &signer_ids);
   }
   if (jpos != jraw.size() || tpos != traw.size()) {
     return Status::Corruption("checkpoint: trailing table bytes");
@@ -1666,12 +1558,7 @@ Status Ledger::RecoverFromCheckpoint(const CheckpointManifest& manifest,
 
   // (7) Tail replay: only the journals past the watermark pay full
   // validation + accumulator appends.
-  for (uint64_t i = manifest.watermark; i < n; ++i) {
-    Bytes raw;
-    LEDGERDB_RETURN_IF_ERROR(storage_.journals->Read(i, &raw));
-    LEDGERDB_RETURN_IF_ERROR(ReplayRecord(i, raw));
-  }
-
+  LEDGERDB_RETURN_IF_ERROR(ReplayStream(manifest.watermark, n));
 
   // (8) Shared tail: self-heal + block chain restore, which cross-checks
   // the (adopted) fam against every block header.
@@ -1743,11 +1630,7 @@ Status Ledger::Recover(std::string uri, const LedgerOptions& options,
   std::unique_ptr<Ledger> ledger(new Ledger(RecoveryTag{}, std::move(uri),
                                             options, clock, std::move(lsp_key),
                                             members, storage));
-  for (uint64_t i = 0; i < n; ++i) {
-    Bytes raw;
-    LEDGERDB_RETURN_IF_ERROR(storage.journals->Read(i, &raw));
-    LEDGERDB_RETURN_IF_ERROR(ledger->ReplayRecord(i, raw));
-  }
+  LEDGERDB_RETURN_IF_ERROR(ledger->ReplayStream(0, n));
   LEDGERDB_RETURN_IF_ERROR(ledger->FinishRecovery(n));
   LEDGERDB_OBS_COUNT_N(obs::names::kLedgerRecoveredJournalsTotal, n);
   if (info != nullptr) *info = local;

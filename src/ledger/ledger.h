@@ -542,48 +542,44 @@ class Ledger {
          Clock* clock, KeyPair lsp_key, const MemberRegistry* members,
          LedgerStorage storage);
 
-  /// Commits a fully-formed journal: accumulators, clue tree, world state,
-  /// pending block. `persist` is false during recovery replay. The journal
-  /// is persisted *before* any in-memory state changes, so a failed write
-  /// leaves the ledger untouched and consistent with its streams.
-  Status CommitJournal(Journal journal, uint64_t* jsn, bool persist = true);
+  /// Client key -> hex signer id, memoized across one commit group or one
+  /// recovery loop (see SignerId in ledger.cc).
+  using SignerIds = std::vector<std::pair<PublicKey, std::string>>;
 
-  /// In-memory half of a commit: threads an already-persisted journal
-  /// through the accumulators and handles the block boundary (inline seal
-  /// or async hand-off).
-  Status ApplyCommitted(Journal journal, uint64_t* jsn);
+  /// Commits one journal through CommitPrevalidatedGroup (a group of one).
+  Status CommitOne(PrevalidatedTx&& tx, uint64_t* jsn);
 
-  /// Freezes the current pending block into a SealJob on the committer
-  /// thread (hashes copied, roots snapshotted) and clears the pending set.
+  /// The one step from a committed record to ledger state, shared by the
+  /// live commit, full replay and checkpoint restore. `journal` is empty
+  /// for a purge tombstone, whose `delta` is all that remains. Threads the
+  /// record through the fam tree, CM-Tree and world state unless
+  /// `accumulate` is false (checkpoint restore adopted those from the
+  /// snapshot), then does the index bookkeeping (journals, deltas, clue
+  /// index, dedup, occult bit, block map) and the special-journal effects.
+  void ApplyRecord(JournalDelta&& delta, std::optional<Journal>&& journal,
+                   bool accumulate, SignerIds* signer_ids);
+
+  /// Full replay of stream records [from, to): the check step, then
+  /// ApplyRecord with the accumulators.
+  Status ReplayStream(uint64_t from, uint64_t to);
+
+  /// Freezes the pending block into a SealJob on the committer thread
+  /// (hashes copied, roots snapshotted); pending_block_ is left as is.
   void PrepareSeal(SealJob* job);
+
+  /// The one header publisher, for inline and asynchronous seals alike:
+  /// builds `job`'s header, persists it, then maps its journals and
+  /// publishes the block. A failed persist publishes nothing. Requires
+  /// seal_mu_ held.
+  Status PublishSealLocked(const SealJob& job, const Digest& tx_root);
 
   /// SealBlock body; requires seal_mu_ held.
   Status SealBlockLocked();
 
-  /// Tracks ledger-level side effects of special journal types (purge
-  /// boundaries, occult bits, time evidence). Used by both the live
-  /// mutation paths and recovery replay.
+  /// Ledger-level effects of special journal types (purge boundary, occult
+  /// bits, time evidence, pseudo-genesis), derived as each journal is
+  /// applied.
   void ApplyJournalEffects(const Journal& journal);
-
-  /// Full-validation replay of one stream record during recovery: decodes
-  /// journal or tombstone, checks payload digest and ordering, and threads
-  /// it through the accumulators.
-  Status ReplayRecord(uint64_t index, const Bytes& raw);
-
-  /// Index-only restore of one below-watermark record during checkpoint
-  /// recovery: rebuilds journals_/delta_log_/clue index/dedup/occult state
-  /// WITHOUT touching the accumulators (those were adopted from the
-  /// snapshot, which already includes this record). `tx_hash` comes from
-  /// the snapshot's tx-hash table. `trusted` is true when `raw` is the
-  /// snapshot's own copy (pinned by the manifest's signed SHA-256 — no
-  /// per-record re-hashing needed) of an unrewritten frame; it is false
-  /// when the stream's frame CRC diverged from the checkpoint's and `raw`
-  /// is the stream's version, which is re-validated at full replay
-  /// strength here. `key_ids` memoizes client-key -> hex id across the
-  /// restore loop.
-  Status RestoreIndexedRecord(
-      uint64_t index, const Bytes& raw, const Digest& tx_hash,
-      std::vector<std::pair<PublicKey, std::string>>* key_ids, bool trusted);
 
   /// Shared recovery tail: self-heals interrupted mutations, restores and
   /// cross-checks sealed blocks, queues the unsealed suffix and re-seals
@@ -596,15 +592,29 @@ class Ledger {
   Status RecoverFromCheckpoint(const CheckpointManifest& manifest,
                                uint32_t slot, RecoveryInfo* info);
 
-  /// Writes the purge tombstone / occult rewrite for `jsn` to the journal
-  /// stream (no-op without storage).
+  /// Writes the occult rewrite for `jsn` to the journal stream (no-op
+  /// without storage).
   Status PersistRewrite(uint64_t jsn);
-  Status PersistTombstone(uint64_t jsn, const Journal& journal);
+
+  /// Purges one journal: persists its digest-only tombstone, then drops
+  /// the record with the state derived from it (dedup entry, occult bit),
+  /// leaving what replaying the tombstone would. No-op if already purged.
+  Status Tombstone(uint64_t jsn);
 
   /// Builds and commits an internal (LSP-authored) journal.
   Status AppendInternal(JournalType type, const std::vector<std::string>& clues,
                         Bytes payload, std::vector<Endorsement> endorsements,
                         uint64_t* jsn);
+
+  /// Prerequisite 2: endorsements over `request` from a DBA and a regulator.
+  Status CheckOccultEndorsements(
+      const Digest& request,
+      const std::vector<Endorsement>& endorsements) const;
+
+  /// Hides one journal: sets its occult bit and flag, then erases the
+  /// payload (synchronous mode) or persists the flag and queues the
+  /// erasure for ReorganizeOcculted.
+  Status HideJournal(uint64_t jsn);
 
   /// Erases one journal's payload in place (keeps digest + metadata).
   Status ErasePayload(uint64_t jsn);
@@ -618,7 +628,6 @@ class Ledger {
   KeyPair lsp_key_;
   const MemberRegistry* members_;
   LedgerStorage storage_;
-  bool recovering_ = false;
   Status init_status_;
 
   std::vector<std::optional<Journal>> journals_;
@@ -636,7 +645,6 @@ class Ledger {
   std::vector<BlockHeader> blocks_;
   std::vector<uint64_t> pending_block_;          // jsns awaiting sealing
   std::vector<uint64_t> jsn_to_block_;           // jsn -> block height (sealed)
-  ShrubsAccumulator pending_tx_tree_;            // scratch per block
 
   /// Async sealing state. seal_mu_ guards everything the sealer lane and
   /// the committer/readers share: blocks_, jsn_to_block_ (growth on the
@@ -673,8 +681,9 @@ class Ledger {
   /// submission with the same request hash returns the original jsn; a
   /// *different* transaction reusing a nonce is rejected (AlreadyExists).
   /// Rebuilt from the journal stream on recovery; entries for purged
-  /// journals are lost with their tombstones, so the dedup horizon ends at
-  /// the purge boundary. Mutated only on the committer thread.
+  /// journals go with their tombstones (live and on recovery alike), so the
+  /// dedup horizon ends at the purge boundary. Mutated only on the
+  /// committer thread.
   struct DedupEntry {
     uint64_t jsn;
     Digest request_hash;

@@ -119,8 +119,6 @@ Status FaultEnv::Rename(const std::string& from, const std::string& to) {
   return s;
 }
 
-namespace {
-
 const char* StorageFaultName(StorageFaultKind kind) {
   switch (kind) {
     case StorageFaultKind::kCrash: return "crash";
@@ -132,8 +130,6 @@ const char* StorageFaultName(StorageFaultKind kind) {
   }
   return "unknown";
 }
-
-}  // namespace
 
 bool FaultEnv::NextFault(StorageFaultKind* kind) {
   auto it = plan_.find(op_counter_);

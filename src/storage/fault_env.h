@@ -39,6 +39,10 @@ enum class StorageFaultKind : uint8_t {
 
 inline constexpr int kStorageFaultKindCount = 6;
 
+/// Stable lower-case name of a fault kind: the `kind` label of the
+/// injected-faults counter.
+const char* StorageFaultName(StorageFaultKind kind);
+
 /// Deterministic fault-injection environment. Wraps a base Env and counts
 /// every mutating file operation (Write / Sync / Truncate) as a numbered
 /// fault point. A fault scheduled at point N fires when the N-th mutating

@@ -470,6 +470,38 @@ TEST_F(PurgeTest, SurvivorsOutliveThePurge) {
   EXPECT_TRUE(Ledger::VerifyJournalProof(survivor, proof, ledger_->FamRoot()));
 }
 
+TEST_F(PurgeTest, RejectedPurgeCommitsNothing) {
+  LedgerOptions options;
+  options.fractal_height = 4;
+  options.block_capacity = 8;
+  MemoryStreamStore journals, blocks;
+  LedgerStorage storage{&journals, &blocks};
+  ledger_ = std::make_unique<Ledger>("lg://test", options, &clock_, lsp_key_,
+                                     &registry_, storage);
+  for (int i = 0; i < 6; ++i) MustAppend(alice_, "p" + std::to_string(i));
+  const uint64_t journal_count = ledger_->NumJournals();
+  const Digest fam_root = ledger_->FamRoot();
+
+  // Survivor 6 lies past the purge point: the purge must fail before it
+  // commits anything.
+  EXPECT_TRUE(
+      ledger_->Purge(5, FullPurgeSigs(5), {6}, nullptr).IsInvalidArgument());
+  EXPECT_EQ(ledger_->NumJournals(), journal_count);
+  EXPECT_EQ(ledger_->FamRoot(), fam_root);
+  EXPECT_EQ(ledger_->SurvivorCount(), 0u);
+  EXPECT_EQ(ledger_->PurgedBoundary(), 0u);
+
+  std::unique_ptr<Ledger> recovered;
+  ASSERT_TRUE(Ledger::Recover("lg://test", options, &clock_, lsp_key_,
+                              &registry_, storage, &recovered)
+                  .ok());
+  EXPECT_EQ(recovered->NumJournals(), journal_count);
+  EXPECT_EQ(recovered->FamRoot(), fam_root);
+  EXPECT_EQ(recovered->PurgedBoundary(), 0u);
+  Journal journal;
+  EXPECT_TRUE(recovered->GetJournal(3, &journal).ok());
+}
+
 TEST_F(PurgeTest, InvalidPurgePoints) {
   MustAppend(alice_, "p");
   EXPECT_TRUE(ledger_->Purge(99, FullPurgeSigs(99), {}, nullptr).IsOutOfRange());

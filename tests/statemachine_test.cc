@@ -4,16 +4,74 @@
 
 #include "audit/dasein_auditor.h"
 #include "ledger/ledger.h"
+#include "storage/checkpoint.h"
+#include "storage/env.h"
+#include "storage/stream_store.h"
 
 namespace ledgerdb {
 namespace {
 
+/// Everything a ledger derives from its committed journal prefix. A
+/// recovered ledger must derive exactly what the live one held.
+struct DerivedState {
+  Digest fam, clue, state;
+  uint64_t journals = 0;
+  uint64_t purged_boundary = 0;
+  uint64_t occulted = 0;
+  size_t pending_erasures = 0;
+  std::vector<uint64_t> time_jsns;
+  uint64_t latest_pseudo_genesis = ~0ULL;  // ~0: never purged
+  std::vector<Digest> block_hashes;
+  std::vector<Bytes> deltas;
+
+  static DerivedState Of(const Ledger& ledger) {
+    DerivedState d;
+    d.fam = ledger.FamRoot();
+    d.clue = ledger.ClueRoot();
+    d.state = ledger.StateRoot();
+    d.journals = ledger.NumJournals();
+    d.purged_boundary = ledger.PurgedBoundary();
+    d.occulted = ledger.OccultedCount();
+    d.pending_erasures = ledger.PendingOccultErasures();
+    for (const TimeJournalInfo& info : ledger.time_journals()) {
+      d.time_jsns.push_back(info.jsn);
+    }
+    (void)ledger.LatestPseudoGenesis(&d.latest_pseudo_genesis);
+    for (const BlockHeader& header : ledger.blocks()) {
+      d.block_hashes.push_back(header.Hash());
+    }
+    std::vector<JournalDelta> deltas;
+    EXPECT_TRUE(ledger.GetDelta(0, d.journals, &deltas).ok());
+    for (const JournalDelta& delta : deltas) {
+      d.deltas.push_back(delta.Serialize());
+    }
+    return d;
+  }
+
+  void ExpectEq(const DerivedState& live) const {
+    EXPECT_EQ(fam, live.fam);
+    EXPECT_EQ(clue, live.clue);
+    EXPECT_EQ(state, live.state);
+    EXPECT_EQ(journals, live.journals);
+    EXPECT_EQ(purged_boundary, live.purged_boundary);
+    EXPECT_EQ(occulted, live.occulted);
+    EXPECT_EQ(pending_erasures, live.pending_erasures);
+    EXPECT_EQ(time_jsns, live.time_jsns);
+    EXPECT_EQ(latest_pseudo_genesis, live.latest_pseudo_genesis);
+    EXPECT_EQ(block_hashes, live.block_hashes);
+    EXPECT_EQ(deltas, live.deltas);
+  }
+};
+
 /// Randomized state-machine test: applies a random operation sequence
-/// (appends with clues, block seals, occults, purges, time anchors,
-/// erasure reorganization, and mid-sequence crash/recovery) to a
-/// persistent ledger, mirroring every effect in a plain reference model.
-/// After every operation a set of invariants must hold; after the
-/// sequence, the full Dasein audit must pass.
+/// (appends with clues, resubmitted appends, block seals, occults by jsn
+/// and by clue, purges, time anchors, erasure reorganization, checkpoints,
+/// and mid-sequence crash/recovery) to a persistent ledger, mirroring
+/// every effect in a plain reference model. Recoveries alternate between
+/// checkpoint + tail replay and full replay, and each must rebuild the
+/// live ledger's whole derived state. After every operation a set of
+/// invariants must hold; after the sequence, the full Dasein audit must
+/// pass.
 class StateMachineTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   struct ModelJournal {
@@ -39,13 +97,28 @@ class StateMachineTest : public ::testing::TestWithParam<uint64_t> {
     registry_.Register(ca_.Certify("reg", regulator_.public_key(), Role::kRegulator));
     options_.fractal_height = 3;
     options_.block_capacity = 5;
+    OpenStreams();
     ledger_ = std::make_unique<Ledger>("lg://sm", options_, &clock_, lsp_,
-                                       &registry_, Storage());
+                                       &registry_, Storage(true));
     ledger_->AttachDirectTsa(&tsa_);
     model_[0] = {"", {}, false, true};  // genesis
   }
 
-  LedgerStorage Storage() { return {&journal_stream_, &block_stream_}; }
+  /// (Re)opens the durable streams over the in-memory env, as a restarted
+  /// process would.
+  void OpenStreams() {
+    journal_stream_.reset();
+    block_stream_.reset();
+    ASSERT_TRUE(
+        FileStreamStore::Open(&env_, "journals.log", &journal_stream_).ok());
+    ASSERT_TRUE(FileStreamStore::Open(&env_, "blocks.log", &block_stream_).ok());
+  }
+
+  LedgerStorage Storage(bool with_checkpoints) {
+    has_checkpoint_store_ = with_checkpoints;
+    return {journal_stream_.get(), block_stream_.get(),
+            with_checkpoints ? &checkpoints_ : nullptr};
+  }
 
   void OpAppend() {
     ClientTransaction tx;
@@ -63,6 +136,21 @@ class StateMachineTest : public ::testing::TestWithParam<uint64_t> {
     ASSERT_TRUE(ledger_->Append(tx, &jsn).ok());
     model_[jsn] = {"payload-" + std::to_string(op_counter_), clues, false, false};
     for (const std::string& clue : clues) clue_model_[clue].push_back(jsn);
+    sent_[jsn] = tx;
+  }
+
+  void OpResubmit() {
+    // A retried transaction converges on its original jsn (until a purge
+    // ends the dedup horizon).
+    std::vector<uint64_t> candidates;
+    for (const auto& [jsn, tx] : sent_) {
+      if (jsn >= purged_boundary_) candidates.push_back(jsn);
+    }
+    if (candidates.empty()) return;
+    uint64_t original = candidates[rng_.Uniform(candidates.size())];
+    uint64_t jsn = 0;
+    ASSERT_TRUE(ledger_->Append(sent_[original], &jsn).ok());
+    EXPECT_EQ(jsn, original);
   }
 
   void OpOccult() {
@@ -82,6 +170,33 @@ class StateMachineTest : public ::testing::TestWithParam<uint64_t> {
     ASSERT_TRUE(ledger_->Occult(target, sigs, &oj).ok());
     model_[target].occulted = true;
     model_[oj] = {"", {}, false, true};
+  }
+
+  void OpOccultByClue() {
+    if (clue_model_.empty()) return;
+    auto it = clue_model_.begin();
+    std::advance(it, rng_.Uniform(clue_model_.size()));
+    Digest req = Ledger::OccultClueRequestHash("lg://sm", it->first);
+    std::vector<Endorsement> sigs = {{dba_.public_key(), dba_.Sign(req)},
+                                     {regulator_.public_key(), regulator_.Sign(req)}};
+    size_t count = 0;
+    uint64_t oj = 0;
+    ASSERT_TRUE(ledger_->OccultByClue(it->first, sigs, &count, &oj).ok());
+    size_t expected = 0;
+    for (uint64_t jsn : it->second) {
+      auto mj = model_.find(jsn);  // purged journals left the model
+      if (mj == model_.end() || mj->second.occulted) continue;
+      mj->second.occulted = true;
+      ++expected;
+    }
+    EXPECT_EQ(count, expected);
+    model_[oj] = {"", {}, false, true};
+  }
+
+  void OpCheckpoint() {
+    if (!has_checkpoint_store_ || ledger_->blocks().empty()) return;
+    ASSERT_TRUE(ledger_->WriteCheckpoint().ok());
+    checkpointed_ = true;
   }
 
   void OpPurge() {
@@ -108,17 +223,22 @@ class StateMachineTest : public ::testing::TestWithParam<uint64_t> {
 
   void OpRecover() {
     ledger_->SealBlock();
-    Digest fam_root = ledger_->FamRoot();
-    Digest clue_root = ledger_->ClueRoot();
+    // Even recoveries go through a checkpoint plus tail replay, odd ones
+    // through full replay.
+    const bool via_checkpoint = recoveries_++ % 2 == 0;
+    if (via_checkpoint && !checkpointed_) OpCheckpoint();
+    const DerivedState live = DerivedState::Of(*ledger_);
     ledger_.reset();  // crash
+    OpenStreams();
     std::unique_ptr<Ledger> recovered;
+    RecoveryInfo info;
     Status s = Ledger::Recover("lg://sm", options_, &clock_, lsp_, &registry_,
-                               Storage(), &recovered);
+                               Storage(via_checkpoint), &recovered, &info);
     ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ(info.used_checkpoint, via_checkpoint);
     ledger_ = std::move(recovered);
     ledger_->AttachDirectTsa(&tsa_);
-    EXPECT_EQ(ledger_->FamRoot(), fam_root);
-    EXPECT_EQ(ledger_->ClueRoot(), clue_root);
+    DerivedState::Of(*ledger_).ExpectEq(live);
   }
 
   void CheckInvariants() {
@@ -163,9 +283,15 @@ class StateMachineTest : public ::testing::TestWithParam<uint64_t> {
   KeyPair lsp_, user_, dba_, regulator_;
   TsaService tsa_;
   LedgerOptions options_;
-  MemoryStreamStore journal_stream_, block_stream_;
+  MemEnv env_;
+  std::unique_ptr<FileStreamStore> journal_stream_, block_stream_;
+  CheckpointStore checkpoints_{&env_, "sm"};
+  bool has_checkpoint_store_ = false;  // the live ledger can checkpoint
+  bool checkpointed_ = false;
+  int recoveries_ = 0;
   std::unique_ptr<Ledger> ledger_;
   std::map<uint64_t, ModelJournal> model_;
+  std::map<uint64_t, ClientTransaction> sent_;  // appended, by jsn
   std::map<std::string, std::vector<uint64_t>> clue_model_;
   uint64_t purged_boundary_ = 0;
   uint64_t op_counter_ = 0;
@@ -176,7 +302,7 @@ TEST_P(StateMachineTest, RandomOperationSequenceHoldsInvariants) {
   for (int op = 0; op < kOps; ++op) {
     ++op_counter_;
     clock_.Advance(rng_.Range(1, 2000) * kMicrosPerMilli);
-    switch (rng_.Uniform(12)) {
+    switch (rng_.Uniform(15)) {
       case 0:
         OpOccult();
         break;
@@ -194,6 +320,15 @@ TEST_P(StateMachineTest, RandomOperationSequenceHoldsInvariants) {
         break;
       case 5:
         if (op > 10) OpRecover();
+        break;
+      case 6:
+        OpOccultByClue();
+        break;
+      case 7:
+        OpResubmit();
+        break;
+      case 8:
+        OpCheckpoint();
         break;
       default:
         OpAppend();

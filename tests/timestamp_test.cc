@@ -346,8 +346,12 @@ TEST(AttackSimTest, WindowSaturationSweepAsDelayGrows) {
     EXPECT_LE(tl.window, tau_delta + dt);   // saturated at τ_Δ + Δτ
     // Once the delay exceeds τ_Δ the protocol starts bouncing, and keeps
     // bouncing for every longer stall (rejection is monotone).
-    if (delay >= tau_delta) EXPECT_GT(tl.rejections, 0u);
-    if (tledger_rejected_before) EXPECT_GT(tl.rejections, 0u);
+    if (delay >= tau_delta) {
+      EXPECT_GT(tl.rejections, 0u);
+    }
+    if (tledger_rejected_before) {
+      EXPECT_GT(tl.rejections, 0u);
+    }
     tledger_rejected_before = tl.rejections > 0;
   }
 }
