@@ -1,6 +1,6 @@
 // Verifiable mutations (§III-A2/A3): a ledger accumulates years of
-// obsolete records, purges them (keeping one milestone trade in the
-// survival stream), and occults a journal that leaked personal data —
+// obsolete records, purges them (keeping one milestone trade as a
+// survivor), and occults a journal that leaked personal data —
 // all without breaking verifiability, and each gated by the required
 // multi-signatures.
 //
@@ -66,7 +66,7 @@ int main() {
               s.ToString().c_str(), (unsigned long long)purge_jsn,
               (unsigned long long)ledger.PurgedBoundary());
 
-  // The milestone survives in the survival stream and still proves.
+  // The milestone survives the purge and still proves.
   Journal survivor;
   ledger.ReadSurvivor(0, &survivor);
   FamProof survivor_proof;

@@ -1,5 +1,6 @@
 #include "crypto/ecdsa.h"
 
+#include <array>
 #include <cstring>
 
 #include "obs/metric_names.h"
@@ -89,47 +90,50 @@ KeyPair KeyPair::FromSeedString(std::string_view seed) {
 namespace {
 
 // RFC 6979 deterministic nonce generation (HMAC-SHA256 DRBG). Returns a
-// nonce in [1, n-1].
+// nonce in [1, n-1]. Every buffer has a fixed size, so each copy's bounds
+// are visible at compile time.
 U256 Rfc6979Nonce(const U256& secret, const Digest& message,
                   uint32_t attempt) {
-  uint8_t v[32], k[32];
-  std::memset(v, 0x01, sizeof(v));
-  std::memset(k, 0x00, sizeof(k));
+  std::array<uint8_t, 32> v;
+  std::array<uint8_t, 32> k;
+  v.fill(0x01);
+  k.fill(0x00);
 
-  Bytes seed;
-  seed.reserve(64 + 4);
-  Bytes secret_bytes = secret.ToBytes();
-  seed.insert(seed.end(), secret_bytes.begin(), secret_bytes.end());
-  seed.insert(seed.end(), message.bytes.begin(), message.bytes.end());
-  // Extra-data variant: mix in the retry counter so consecutive attempts
-  // produce independent nonces.
-  if (attempt != 0) PutU32(&seed, attempt);
+  // HMAC message for the K updates: V || sep || seed, where seed is
+  // secret || message, plus the retry counter (little-endian u32) for the
+  // extra-data variant, so consecutive attempts produce independent
+  // nonces.
+  std::array<uint8_t, 32 + 1 + 32 + 32 + 4> data;
+  uint8_t* seed = data.data() + 33;
+  secret.ToBigEndian(seed);
+  std::memcpy(seed + 32, message.bytes.data(), 32);
+  size_t data_len = 33 + 64;
+  if (attempt != 0) {
+    for (int i = 0; i < 4; ++i) {
+      seed[64 + i] = static_cast<uint8_t>(attempt >> (8 * i));
+    }
+    data_len += 4;
+  }
 
-  auto hmac_step = [&](uint8_t sep) {
-    Bytes data;
-    data.insert(data.end(), v, v + 32);
-    data.push_back(sep);
-    data.insert(data.end(), seed.begin(), seed.end());
-    Digest kd = HmacSha256(Slice(k, 32), Slice(data));
-    std::memcpy(k, kd.bytes.data(), 32);
-    Digest vd = HmacSha256(Slice(k, 32), Slice(v, 32));
-    std::memcpy(v, vd.bytes.data(), 32);
+  auto update_k = [&](uint8_t sep, size_t len) {
+    std::memcpy(data.data(), v.data(), 32);
+    data[32] = sep;
+    Digest kd = HmacSha256(Slice(k.data(), 32), Slice(data.data(), len));
+    std::memcpy(k.data(), kd.bytes.data(), 32);
+    Digest vd = HmacSha256(Slice(k.data(), 32), Slice(v.data(), 32));
+    std::memcpy(v.data(), vd.bytes.data(), 32);
   };
 
-  hmac_step(0x00);
-  hmac_step(0x01);
+  update_k(0x00, data_len);
+  update_k(0x01, data_len);
 
   for (;;) {
-    Digest vd = HmacSha256(Slice(k, 32), Slice(v, 32));
-    std::memcpy(v, vd.bytes.data(), 32);
-    U256 candidate = U256::FromBigEndian(v);
+    Digest vd = HmacSha256(Slice(k.data(), 32), Slice(v.data(), 32));
+    std::memcpy(v.data(), vd.bytes.data(), 32);
+    U256 candidate = U256::FromBigEndian(v.data());
     if (!candidate.IsZero() && Compare(candidate, kN) < 0) return candidate;
-    Bytes data(v, v + 32);
-    data.push_back(0x00);
-    Digest kd = HmacSha256(Slice(k, 32), Slice(data));
-    std::memcpy(k, kd.bytes.data(), 32);
-    vd = HmacSha256(Slice(k, 32), Slice(v, 32));
-    std::memcpy(v, vd.bytes.data(), 32);
+    // Retry step: K = HMAC(K, V || 0x00), V = HMAC(K, V).
+    update_k(0x00, 33);
   }
 }
 

@@ -154,6 +154,27 @@ size_t ApproxProofBytes(const FamBatchProof& proof) {
   return bytes;
 }
 
+/// Decodes a purge journal's survivor list, [u32 count][lp journal]*,
+/// from `pos` to the end of `payload`. Leaves `out` as is unless the whole
+/// list decodes.
+void DecodeSurvivors(const Bytes& payload, size_t pos,
+                     std::vector<Journal>* out) {
+  uint32_t count = 0;
+  // Each entry takes at least its 4-byte length prefix.
+  if (!GetU32(payload, &pos, &count) || count > (payload.size() - pos) / 4) {
+    return;
+  }
+  std::vector<Journal> survivors(count);
+  Bytes raw;
+  for (Journal& survivor : survivors) {
+    if (!GetLengthPrefixed(payload, &pos, &raw) ||
+        !Journal::Deserialize(raw, &survivor)) {
+      return;
+    }
+  }
+  if (pos == payload.size()) *out = std::move(survivors);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -670,6 +691,12 @@ size_t Ledger::SealBacklog() const {
 }
 
 Status Ledger::GetReceipt(uint64_t jsn, Receipt* receipt) {
+  LEDGERDB_RETURN_IF_ERROR(FillReceipt(jsn, receipt));
+  SignReceipt(receipt);
+  return Status::OK();
+}
+
+Status Ledger::FillReceipt(uint64_t jsn, Receipt* receipt) {
   if (jsn >= journals_.size()) return Status::NotFound("no such journal");
   if (jsn < purged_boundary_ || !journals_[jsn].has_value()) {
     return Status::NotFound("journal purged");
@@ -695,19 +722,40 @@ Status Ledger::GetReceipt(uint64_t jsn, Receipt* receipt) {
   receipt->tx_hash = journal.TxHash();
   receipt->block_hash = block_hash;
   receipt->timestamp = clock_->Now();
-  receipt->lsp_sig = lsp_key_.Sign(receipt->MessageHash());
   return Status::OK();
 }
 
+void Ledger::SignReceipt(Receipt* receipt) const {
+  receipt->lsp_sig = lsp_key_.Sign(receipt->MessageHash());
+}
+
+bool Ledger::AwaitingSeal(uint64_t jsn) const {
+  if (jsn >= journals_.size() || jsn < purged_boundary_ ||
+      !journals_[jsn].has_value()) {
+    return false;
+  }
+  std::lock_guard<std::mutex> lock(seal_mu_);
+  return jsn_to_block_[jsn] == kUnsealedBlock;
+}
+
 Status Ledger::GetCommitment(SignedCommitment* out) const {
+  LEDGERDB_RETURN_IF_ERROR(FillCommitment(out));
+  SignCommitment(out);
+  return Status::OK();
+}
+
+Status Ledger::FillCommitment(SignedCommitment* out) const {
   out->ledger_uri = uri_;
   out->journal_count = NumJournals();
   out->fam_root = fam_.Root();
   out->clue_root = cmtree_.Root();
   out->state_root = world_state_.Root();
   out->timestamp = clock_->Now();
-  out->lsp_sig = lsp_key_.Sign(out->MessageHash());
   return Status::OK();
+}
+
+void Ledger::SignCommitment(SignedCommitment* out) const {
+  out->lsp_sig = lsp_key_.Sign(out->MessageHash());
 }
 
 Status Ledger::GetDelta(uint64_t from, uint64_t to,
@@ -987,20 +1035,25 @@ Status Ledger::Purge(uint64_t purge_before_jsn,
                                           std::move(snapshot), {}, &pg_jsn));
 
   // The purge journal, doubly linked with the pseudo genesis for mutual
-  // proving and fast locating.
+  // proving and fast locating. It also carries every survivor body held
+  // after this purge (the earlier purges' and this one's), so the survivor
+  // set is a function of the committed prefix even once a later purge
+  // tombstones an earlier purge journal.
   Bytes purge_payload = StringToBytes("purge");
   PutU64(&purge_payload, purge_before_jsn);
   PutU64(&purge_payload, pg_jsn);
+  PutU32(&purge_payload,
+         static_cast<uint32_t>(survivors_.size() + survivors.size()));
+  for (const Journal& kept : survivors_) {
+    PutLengthPrefixed(&purge_payload, kept.Serialize());
+  }
+  for (uint64_t jsn : survivors) {
+    PutLengthPrefixed(&purge_payload, journals_[jsn]->Serialize());
+  }
   uint64_t pj = 0;
   LEDGERDB_RETURN_IF_ERROR(AppendInternal(JournalType::kPurge, {},
                                           std::move(purge_payload),
                                           endorsements, &pj));
-
-  // Copy milestone journals into the survival stream before erasure.
-  for (uint64_t jsn : survivors) {
-    uint64_t index;
-    survival_stream_.Append(Slice(journals_[jsn]->Serialize()), &index);
-  }
 
   // Erase the journal entries. The fam tree is retained in full: only
   // digests, no raw payloads, so its space cost is acceptable and every
@@ -1236,8 +1289,16 @@ void Ledger::ApplyJournalEffects(const Journal& journal) {
     case JournalType::kPurge: {
       size_t pos = StringToBytes("purge").size();
       uint64_t purge_before = 0;
+      uint64_t pg_jsn = 0;
       if (GetU64(journal.payload, &pos, &purge_before) &&
           purge_before > purged_boundary_) {
+        // The survivor list follows the pseudo-genesis link; a payload
+        // that ends there (an image from before survivors were recorded)
+        // carries none and leaves the set as is.
+        if (GetU64(journal.payload, &pos, &pg_jsn) &&
+            pos < journal.payload.size()) {
+          DecodeSurvivors(journal.payload, pos, &survivors_);
+        }
         purged_boundary_ = purge_before;
         // Purged journals leave no time evidence or pending erasure behind
         // (their records are tombstoned next, or on recovery).
@@ -1746,11 +1807,8 @@ Status Ledger::WriteCheckpoint(uint32_t* slot_out) {
 }
 
 Status Ledger::ReadSurvivor(uint64_t index, Journal* out) const {
-  Bytes raw;
-  LEDGERDB_RETURN_IF_ERROR(survival_stream_.Read(index, &raw));
-  if (!Journal::Deserialize(raw, out)) {
-    return Status::Corruption("undecodable survivor journal");
-  }
+  if (index >= survivors_.size()) return Status::NotFound("no such survivor");
+  *out = survivors_[index];
   return Status::OK();
 }
 

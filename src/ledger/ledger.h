@@ -255,6 +255,10 @@ class Ledger {
                                  std::vector<uint64_t>* jsns,
                                  std::vector<Status>* statuses);
 
+  /// Stage 2 for one transaction: CommitPrevalidatedGroup on a group of
+  /// one. Returns the transaction's status if it failed, else the group's.
+  Status CommitOne(PrevalidatedTx&& tx, uint64_t* jsn);
+
   /// Seals all pending journals into one block (no-op when empty). Drains
   /// any in-flight asynchronous seals first, re-queueing journals from
   /// failed seal jobs ahead of the live pending set so the retry keeps
@@ -305,11 +309,31 @@ class Ledger {
 
   /// Issues the signed LSP receipt π_s for `jsn`; seals the containing
   /// block first if needed (receipts commit at block granularity).
+  /// Equivalent to FillReceipt() + SignReceipt().
   Status GetReceipt(uint64_t jsn, Receipt* receipt);
+
+  /// The ledger-state half of GetReceipt: seals if needed and fills every
+  /// field but the signature. Serialized like every mutation.
+  Status FillReceipt(uint64_t jsn, Receipt* receipt);
+
+  /// The crypto half: signs a filled receipt with the LSP key. Reads only
+  /// the key, so it is safe concurrently with any other ledger call.
+  void SignReceipt(Receipt* receipt) const;
+
+  /// True when `jsn` is a live journal whose receipt must seal its block
+  /// first (it is not yet in a sealed block).
+  bool AwaitingSeal(uint64_t jsn) const;
 
   /// Signs the current ledger commitment (journal count + the three roots).
   /// This is what audited clients pin and gossip; see SignedCommitment.
+  /// Equivalent to FillCommitment() + SignCommitment().
   Status GetCommitment(SignedCommitment* out) const;
+
+  /// Reads the commitment's fields from ledger state; no signature.
+  Status FillCommitment(SignedCommitment* out) const;
+
+  /// Signs a filled commitment; thread-safe like SignReceipt.
+  void SignCommitment(SignedCommitment* out) const;
 
   /// Per-journal effects in [from, to): exactly what a client mirror needs
   /// to replay the server's accumulator transitions (tx-hash into fam, clue
@@ -481,7 +505,8 @@ class Ledger {
   static Digest OccultRequestHash(const std::string& uri, uint64_t jsn);
 
   /// Purge (§III-A2): erases journals [PurgedBoundary(), purge_before_jsn),
-  /// except `survivors` which are copied to the survival stream. Requires
+  /// except `survivors`, whose bodies the purge journal carries (so they
+  /// outlive a restart, like every other purge effect). Requires
   /// Prerequisite 1: endorsements over PurgeRequestHash from a DBA and
   /// every member owning a journal in the purged range. Records a purge
   /// journal doubly linked with a fresh pseudo-genesis journal; the fam
@@ -526,8 +551,9 @@ class Ledger {
   /// Total journals currently marked occulted (bitmap-index popcount).
   uint64_t OccultedCount() const { return occult_bitmap_.Count(); }
 
-  /// Survival stream access: journals preserved across purges.
-  uint64_t SurvivorCount() const { return survival_stream_.Count(); }
+  /// Journals preserved across purges, in purge order. The latest purge
+  /// journal carries them all; recovery rebuilds them from it.
+  uint64_t SurvivorCount() const { return survivors_.size(); }
   Status ReadSurvivor(uint64_t index, Journal* out) const;
 
   /// jsn of the pseudo-genesis created by the latest purge (Protocol 1
@@ -545,9 +571,6 @@ class Ledger {
   /// Client key -> hex signer id, memoized across one commit group or one
   /// recovery loop (see SignerId in ledger.cc).
   using SignerIds = std::vector<std::pair<PublicKey, std::string>>;
-
-  /// Commits one journal through CommitPrevalidatedGroup (a group of one).
-  Status CommitOne(PrevalidatedTx&& tx, uint64_t* jsn);
 
   /// The one step from a committed record to ledger state, shared by the
   /// live commit, full replay and checkpoint restore. `journal` is empty
@@ -673,7 +696,8 @@ class Ledger {
   /// answer whose journals stray outside the queried window, so jsn order
   /// and time order must agree.
   Timestamp last_server_ts_ = 0;
-  MemoryStreamStore survival_stream_;
+  /// Derived from the latest purge journal's payload (see Purge).
+  std::vector<Journal> survivors_;
   std::vector<uint64_t> pending_occult_;
   BitmapIndex occult_bitmap_;
 

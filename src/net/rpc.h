@@ -1,9 +1,13 @@
 #ifndef LEDGERDB_NET_RPC_H_
 #define LEDGERDB_NET_RPC_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <iterator>
+#include <mutex>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -147,32 +151,148 @@ struct Codec<NoArgs> {
 
 }  // namespace wire
 
+/// The ledger's critical section, as wire::Dispatch enters it. Each RPC
+/// runs in three stages: an unlocked Prepare, a locked Serve and an
+/// unlocked Finish. Only Serve touches ledger state, so only Serve holds
+/// the lock; signature checks and signing run beside other requests.
+///
+/// The gate also implements seal coalescing. An append counts as pending
+/// from its decode until its Serve returns. A receipt whose
+/// journal is still unsealed first waits, with the lock released, for the
+/// appends pending when it looked; its seal then covers them too. The wait
+/// ends when each of those appends commits or fails; it has no timer.
+class LedgerGate {
+ public:
+  /// Where one request waited instead of working: for the lock and for
+  /// coalesced appends. `start_us` is the start of its first wait.
+  struct Waits {
+    uint64_t start_us = 0;
+    uint64_t total_us = 0;
+    bool coalesced = false;
+
+    void Add(uint64_t from_us, uint64_t to_us);
+  };
+
+  /// Marks one append pending for its lifetime.
+  class PendingAppend {
+   public:
+    PendingAppend(LedgerGate* gate, bool active);
+    ~PendingAppend();
+    PendingAppend(const PendingAppend&) = delete;
+    PendingAppend& operator=(const PendingAppend&) = delete;
+
+   private:
+    LedgerGate* gate_;
+    uint64_t ticket_ = 0;
+  };
+
+  /// Every locked stage holds the lock at least `hold_us` (a test knob
+  /// that makes overload deterministic; 0 in production).
+  explicit LedgerGate(uint64_t hold_us = 0) : hold_us_(hold_us) {}
+
+  LedgerGate(const LedgerGate&) = delete;
+  LedgerGate& operator=(const LedgerGate&) = delete;
+
+  /// Runs `serve` under the lock. If `await_appends` then returns true,
+  /// first waits out the appends pending at that moment (see above).
+  /// `waits` (optional) receives the time spent waiting.
+  template <typename Await, typename Serve>
+  Status Locked(Await&& await_appends, Serve&& serve, Waits* waits) {
+    std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
+    Acquire(&lock, waits);
+    Hold();
+    if (await_appends()) AwaitPendingAppends(&lock, waits);
+    return serve();
+  }
+
+  /// Runs `fn` under the lock, with no hold and no coalescing: the
+  /// server's admin hatch (LedgerServer::WithLedger).
+  template <typename Fn>
+  void WithLock(Fn&& fn) {
+    std::lock_guard<std::mutex> lock(mu_);
+    fn();
+  }
+
+ private:
+  void Acquire(std::unique_lock<std::mutex>* lock, Waits* waits);
+  void Hold() const;
+  void AwaitPendingAppends(std::unique_lock<std::mutex>* lock, Waits* waits);
+
+  const uint64_t hold_us_;
+  std::mutex mu_;
+
+  /// Pending appends by ticket; tickets rise in decode order.
+  std::mutex appends_mu_;
+  std::condition_variable appends_cv_;
+  uint64_t next_ticket_ = 0;
+  std::set<uint64_t> pending_tickets_;
+};
+
 namespace rpc {
 
 /// What every RPC descriptor below declares: its op, and the request and
-/// response types whose wire::Codec is the body codec on both sides.
+/// response types whose wire::Codec is the body codec on both sides. The
+/// defaults make an RPC run wholly under the ledger lock; a descriptor
+/// overrides them to move work out of it.
 template <RpcOp Op, typename Req, typename Resp>
 struct Rpc {
   static constexpr RpcOp kOp = Op;
   using Request = Req;
   using Response = Resp;
+
+  /// What Prepare hands to Serve; by default the request itself.
+  using Prepared = Req;
+  /// Unlocked, before Serve. Must only read state that is immutable
+  /// while the ledger serves (uri, member registry, LSP key).
+  static Status Prepare(const Ledger&, Req&& req, Req* out) {
+    *out = std::move(req);
+    return Status::OK();
+  }
+  /// Unlocked, after Serve; same rule as Prepare.
+  static Status Finish(const Ledger&, Resp*) { return Status::OK(); }
+  /// Whether the request counts as a pending append from its decode until
+  /// its Serve returns (LedgerGate seal coalescing).
+  static constexpr bool kPendingAppend = false;
+  /// Asked under the lock before Serve: true makes the request wait for
+  /// the pending appends first (LedgerGate seal coalescing).
+  template <typename P>
+  static bool AwaitsPendingAppends(const Ledger&, const P&) {
+    return false;
+  }
 };
 
-// One descriptor per RPC. Serve answers a decoded request from the ledger;
-// a descriptor that defines ServeBody instead writes the response body
-// itself.
+// One descriptor per RPC. Serve answers a request from the ledger, under
+// the lock; a descriptor that defines ServeBody instead writes the
+// response body itself.
 
 struct AppendTx : Rpc<RpcOp::kAppendTx, ClientTransaction, uint64_t> {
   static constexpr const char* kName = "AppendTx";
-  static Status Serve(Ledger& ledger, const Request& tx, uint64_t* jsn) {
-    return ledger.Append(tx, jsn);
+  /// π_c, membership and payload hashing run unlocked; the commit is a
+  /// group of one under the lock.
+  using Prepared = Ledger::PrevalidatedTx;
+  static constexpr bool kPendingAppend = true;
+  static Status Prepare(const Ledger& ledger, const Request& tx,
+                        Prepared* out) {
+    return ledger.Prevalidate(tx, out);
+  }
+  static Status Serve(Ledger& ledger, Prepared&& tx, uint64_t* jsn) {
+    return ledger.CommitOne(std::move(tx), jsn);
   }
 };
 
 struct GetReceipt : Rpc<RpcOp::kGetReceipt, uint64_t, Receipt> {
   static constexpr const char* kName = "GetReceipt";
+  /// An unsealed journal's receipt waits for the pending appends, so one
+  /// seal covers them all; the π_s signature runs unlocked.
+  static bool AwaitsPendingAppends(const Ledger& ledger, uint64_t jsn) {
+    return ledger.AwaitingSeal(jsn);
+  }
   static Status Serve(Ledger& ledger, uint64_t jsn, Receipt* out) {
-    return ledger.GetReceipt(jsn, out);
+    return ledger.FillReceipt(jsn, out);
+  }
+  static Status Finish(const Ledger& ledger, Receipt* out) {
+    ledger.SignReceipt(out);
+    return Status::OK();
   }
 };
 
@@ -208,8 +328,13 @@ struct ListTx : Rpc<RpcOp::kListTx, std::string, std::vector<uint64_t>> {
 struct GetCommitment
     : Rpc<RpcOp::kGetCommitment, wire::NoArgs, SignedCommitment> {
   static constexpr const char* kName = "GetCommitment";
+  /// The roots are read under the lock; the signature runs unlocked.
   static Status Serve(Ledger& ledger, wire::NoArgs, SignedCommitment* out) {
-    return ledger.GetCommitment(out);
+    return ledger.FillCommitment(out);
+  }
+  static Status Finish(const Ledger& ledger, SignedCommitment* out) {
+    ledger.SignCommitment(out);
+    return Status::OK();
   }
 };
 
@@ -242,24 +367,38 @@ struct ProveClueRange
   }
 };
 
-/// Server side of descriptor R: strict request decode, the ledger call,
-/// the response encode. A body that does not decode is InvalidArgument and
+/// Server side of descriptor R: strict request decode and Prepare
+/// (unlocked), Serve under the gate's lock, then Finish (unlocked) and the
+/// response encode. A body that does not decode is InvalidArgument and
 /// never reaches the ledger.
 template <typename R>
-Status Handle(Ledger* ledger, const Bytes& request, Bytes* response) {
-  typename R::Request req{};
-  if (!wire::Codec<typename R::Request>::Decode(request, &req)) {
-    return Status::InvalidArgument(std::string("malformed ") + R::kName +
-                                   " request body");
+Status Handle(Ledger* ledger, LedgerGate* gate, LedgerGate::Waits* waits,
+              const Bytes& request, Bytes* response) {
+  typename R::Response resp{};
+  {
+    // An append is pending from its decode until its commit returns.
+    LedgerGate::PendingAppend pending(gate, R::kPendingAppend);
+    typename R::Request req{};
+    if (!wire::Codec<typename R::Request>::Decode(request, &req)) {
+      return Status::InvalidArgument(std::string("malformed ") + R::kName +
+                                     " request body");
+    }
+    if constexpr (requires { &R::ServeBody; }) {
+      return gate->Locked([] { return false; },
+                          [&] { return R::ServeBody(*ledger, req, response); },
+                          waits);
+    } else {
+      typename R::Prepared prepared{};
+      LEDGERDB_RETURN_IF_ERROR(R::Prepare(*ledger, std::move(req), &prepared));
+      LEDGERDB_RETURN_IF_ERROR(gate->Locked(
+          [&] { return R::AwaitsPendingAppends(*ledger, prepared); },
+          [&] { return R::Serve(*ledger, std::move(prepared), &resp); },
+          waits));
+    }
   }
-  if constexpr (requires { &R::ServeBody; }) {
-    return R::ServeBody(*ledger, req, response);
-  } else {
-    typename R::Response resp{};
-    LEDGERDB_RETURN_IF_ERROR(R::Serve(*ledger, req, &resp));
-    *response = wire::Codec<typename R::Response>::Encode(resp);
-    return Status::OK();
-  }
+  LEDGERDB_RETURN_IF_ERROR(R::Finish(*ledger, &resp));
+  *response = wire::Codec<typename R::Response>::Encode(resp);
+  return Status::OK();
 }
 
 }  // namespace rpc
@@ -268,9 +407,10 @@ Status Handle(Ledger* ledger, const Bytes& request, Bytes* response) {
 struct RpcEntry {
   RpcOp op;
   const char* name;
-  /// Decodes a request body, runs it against `ledger`, and on OK fills
-  /// `*response` with the response body.
-  Status (*handler)(Ledger* ledger, const Bytes& request, Bytes* response);
+  /// Decodes a request body, runs its stages against `ledger` through
+  /// `gate`, and on OK fills `*response` with the response body.
+  Status (*handler)(Ledger* ledger, LedgerGate* gate, LedgerGate::Waits* waits,
+                    const Bytes& request, Bytes* response);
 };
 
 template <typename R>

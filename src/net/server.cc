@@ -53,7 +53,9 @@ struct LedgerServer::Conn {
 };
 
 LedgerServer::LedgerServer(Ledger* ledger, Options options)
-    : ledger_(ledger), options_(std::move(options)) {
+    : ledger_(ledger),
+      options_(std::move(options)),
+      gate_(options_.debug_service_delay_us) {
   if (options_.num_workers < 1) options_.num_workers = 1;
   if (options_.queue_depth < 1) options_.queue_depth = 1;
 }
@@ -421,27 +423,34 @@ void LedgerServer::WorkerLoop(Worker* worker) {
           op, id,
           Status::DeadlineExceeded("request expired in admission queue"));
     } else {
-      uint64_t t0 = obs::NowUs();
-      {
-        std::lock_guard<std::mutex> ledger_lock(ledger_mu_);
-        if (options_.debug_service_delay_us > 0) {
-          std::this_thread::sleep_for(
-              std::chrono::microseconds(options_.debug_service_delay_us));
-        }
-        resp = wire::Dispatch(ledger_, req.frame);
-      }
-      uint64_t exec_us = obs::NowUs() - t0;
+      LedgerGate::Waits waits;
+      const uint64_t t0 = obs::NowUs();
+      resp = wire::Dispatch(ledger_, req.frame, &gate_, &waits);
+      // Execution is the request's own stage time; its waits in the gate
+      // are reported apart.
+      const uint64_t exec_us = obs::NowUs() - t0 - waits.total_us;
+      rec.lock_wait_us = waits.total_us;
       rec.exec_us = exec_us;
+      if (waits.coalesced) {
+        stats_.coalesced_receipts.fetch_add(1, std::memory_order_relaxed);
+      }
       LEDGERDB_OBS_COUNT_LABEL(obs::names::kServerRequestsTotal, "op",
                                RpcOpName(op));
       LEDGERDB_OBS_OBSERVE_LABEL(obs::names::kServerRequestUs, "op",
                                  RpcOpName(op), exec_us);
       LEDGERDB_OBS_OBSERVE(obs::names::kServerQueueWaitUs, queue_us);
+      LEDGERDB_OBS_OBSERVE(obs::names::kServerLockWaitUs, waits.total_us);
       LEDGERDB_OBS_OBSERVE(obs::names::kServerExecuteUs, exec_us);
       if (trace_id != 0) {
+        // Both spans total disjoint intervals: the lock-wait span starts
+        // at the first wait, the execute span at dispatch.
         obs::SpanTracer& tracer = obs::SpanTracer::Default();
         tracer.RecordTraced(obs::stages::kServerQueue.name, trace_id,
                             parent_span, req.admit_us, queue_us);
+        if (waits.total_us > 0) {
+          tracer.RecordTraced(obs::stages::kServerLockWait.name, trace_id,
+                              parent_span, waits.start_us, waits.total_us);
+        }
         tracer.RecordTraced(obs::stages::kServerExecute.name, trace_id,
                             parent_span, t0, exec_us);
       }
@@ -449,7 +458,8 @@ void LedgerServer::WorkerLoop(Worker* worker) {
     }
     rec.status = resp.code;
     if (options_.slow_request_us != 0 &&
-        rec.queue_us + rec.exec_us >= options_.slow_request_us) {
+        rec.queue_us + rec.lock_wait_us + rec.exec_us >=
+            options_.slow_request_us) {
       LEDGERDB_OBS_COUNT(obs::names::kServerSlowRequestsTotal);
     }
     obs::RequestLog::Default().Record(rec);
@@ -522,8 +532,7 @@ bool LedgerServer::FlushWritable(const ConnPtr& conn) {
 }
 
 void LedgerServer::WithLedger(const std::function<void(Ledger*)>& fn) {
-  std::lock_guard<std::mutex> lock(ledger_mu_);
-  fn(ledger_);
+  gate_.WithLock([&] { fn(ledger_); });
 }
 
 void LedgerServer::CloseConn(const ConnPtr& conn) {

@@ -15,6 +15,7 @@
 
 #include "common/status.h"
 #include "ledger/ledger.h"
+#include "net/rpc.h"
 #include "net/socket_util.h"
 #include "net/wire.h"
 
@@ -29,8 +30,13 @@ namespace ledgerdb {
 ///     surfaces as an immediate Unavailable response (shed), not as
 ///     accept backpressure;
 ///   - N worker threads drain bounded per-worker admission queues and
-///     execute requests against the ledger under a single mutex (the
-///     Ledger is single-threaded by design — one shard per server);
+///     execute requests through wire::Dispatch in three stages: an
+///     unlocked prepare (AppendTx checks π_c there), a locked serve that
+///     alone touches the Ledger (single-threaded by design — one shard per
+///     server), and an unlocked finish (GetReceipt and GetCommitment sign
+///     there). A receipt whose journal is unsealed first waits, unlocked,
+///     for the appends already preparing, so one seal covers them all
+///     (seal coalescing; see LedgerGate in net/rpc.h);
 ///   - workers hand encoded responses back to the event loop through
 ///     per-connection outboxes and a wakeup pipe.
 ///
@@ -65,13 +71,13 @@ class LedgerServer {
     uint64_t write_timeout_us = 5'000'000;
     uint64_t request_timeout_us = 5'000'000;
     uint64_t drain_deadline_us = 2'000'000;
-    /// Test/bench knob: every request holds the ledger for at least this
-    /// long, making overload and drain scenarios deterministic.
+    /// Test/bench knob: every request holds the ledger lock for at least
+    /// this long, making overload and drain scenarios deterministic.
     uint64_t debug_service_delay_us = 0;
-    /// Completed requests with queue_us + exec_us at or above this are
-    /// flagged slow in the per-request event log (obs::RequestLog). 0
-    /// keeps the log but never flags. Applied to the process-wide log at
-    /// Start().
+    /// Completed requests with queue_us + lock_wait_us + exec_us at or
+    /// above this are flagged slow in the per-request event log
+    /// (obs::RequestLog). 0 keeps the log but never flags. Applied to the
+    /// process-wide log at Start().
     uint64_t slow_request_us = 100'000;
   };
 
@@ -87,6 +93,8 @@ class LedgerServer {
     std::atomic<uint64_t> deadline_expired{0};
     std::atomic<uint64_t> completed{0};
     std::atomic<uint64_t> drain_failed{0};
+    /// Receipts that waited for pending appends before sealing.
+    std::atomic<uint64_t> coalesced_receipts{0};
   };
 
   LedgerServer(Ledger* ledger, Options options);
@@ -107,9 +115,9 @@ class LedgerServer {
   const Stats& stats() const { return stats_; }
 
   /// Admin escape hatch: runs `fn` against the hosted ledger under the
-  /// same mutex the workers execute behind. For maintenance operations
+  /// same lock the workers' serve stages take. For maintenance operations
   /// that are deliberately NOT wire ops (occult, purge, anchoring) —
-  /// blocks request execution for its duration, exactly like a request.
+  /// blocks every serve stage for its duration, exactly like a request.
   void WithLedger(const std::function<void(Ledger*)>& fn);
 
  private:
@@ -153,7 +161,7 @@ class LedgerServer {
   Options options_;
   Stats stats_;
 
-  std::mutex ledger_mu_;
+  LedgerGate gate_;
 
   int listen_fd_ = -1;
   int wake_rd_ = -1;

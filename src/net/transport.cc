@@ -109,7 +109,7 @@ Status LocalTransport::Call(RpcOp op, const Bytes& body, Bytes* resp_body) {
     return Status::Corruption("request frame round trip failed");
   }
   wire::ResponseFrame response;
-  if (!wire::ResponseFrame::Decode(wire::Dispatch(ledger, served).Encode(),
+  if (!wire::ResponseFrame::Decode(wire::Dispatch(ledger, served, &gate_).Encode(),
                                    &response)) {
     return Status::Corruption("response frame round trip failed");
   }

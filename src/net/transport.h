@@ -94,10 +94,10 @@ class WireTransport : public LedgerTransport {
 };
 
 /// Honest in-process transport. Every exchange runs the full socket codec
-/// — request frame encode/decode, the server's table dispatch, response
-/// frame encode/decode — so clients exercise exactly the byte surface a
-/// remote deployment would expose: a proof that survives LocalTransport
-/// has survived its codec.
+/// — request frame encode/decode, the server's table dispatch with its
+/// staged LedgerGate, response frame encode/decode — so clients exercise
+/// exactly the byte surface and stages a remote deployment would expose: a
+/// proof that survives LocalTransport has survived its codec.
 class LocalTransport : public WireTransport {
  public:
   explicit LocalTransport(Ledger* ledger);
@@ -128,6 +128,7 @@ class LocalTransport : public WireTransport {
 
   uint64_t simulated_latency_us_ = 0;
 
+  LedgerGate gate_;
   Ledger* ledger_ = nullptr;
   LedgerService* service_ = nullptr;
   std::string uri_;

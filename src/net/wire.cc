@@ -1,8 +1,70 @@
 #include "net/wire.h"
 
+#include <chrono>
 #include <cstring>
+#include <thread>
 
-namespace ledgerdb::wire {
+#include "obs/trace.h"
+
+namespace ledgerdb {
+
+void LedgerGate::Waits::Add(uint64_t from_us, uint64_t to_us) {
+  if (total_us == 0) start_us = from_us;
+  total_us += to_us > from_us ? to_us - from_us : 0;
+}
+
+LedgerGate::PendingAppend::PendingAppend(LedgerGate* gate, bool active)
+    : gate_(active ? gate : nullptr) {
+  if (gate_ == nullptr) return;
+  std::lock_guard<std::mutex> lock(gate_->appends_mu_);
+  ticket_ = gate_->next_ticket_++;
+  gate_->pending_tickets_.insert(ticket_);
+}
+
+LedgerGate::PendingAppend::~PendingAppend() {
+  if (gate_ == nullptr) return;
+  {
+    std::lock_guard<std::mutex> lock(gate_->appends_mu_);
+    gate_->pending_tickets_.erase(ticket_);
+  }
+  gate_->appends_cv_.notify_all();
+}
+
+void LedgerGate::Acquire(std::unique_lock<std::mutex>* lock, Waits* waits) {
+  // The clock is read only when the lock is contended.
+  if (lock->try_lock()) return;
+  const uint64_t from = waits != nullptr ? obs::NowUs() : 0;
+  lock->lock();
+  if (waits != nullptr) waits->Add(from, obs::NowUs());
+}
+
+void LedgerGate::Hold() const {
+  if (hold_us_ > 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(hold_us_));
+  }
+}
+
+void LedgerGate::AwaitPendingAppends(std::unique_lock<std::mutex>* lock,
+                                     Waits* waits) {
+  std::unique_lock<std::mutex> appends(appends_mu_);
+  if (pending_tickets_.empty()) return;
+  // Appends that start after this point are not waited for, so the wait
+  // is bounded by the ones already under way.
+  const uint64_t horizon = next_ticket_;
+  lock->unlock();
+  const uint64_t from = waits != nullptr ? obs::NowUs() : 0;
+  appends_cv_.wait(appends, [&] {
+    return pending_tickets_.empty() || *pending_tickets_.begin() >= horizon;
+  });
+  appends.unlock();
+  lock->lock();
+  if (waits != nullptr) {
+    waits->Add(from, obs::NowUs());
+    waits->coalesced = true;
+  }
+}
+
+namespace wire {
 
 bool ValidOp(uint8_t op) { return op < static_cast<uint8_t>(kNumRpcOps); }
 
@@ -153,14 +215,15 @@ Status ResponseFrame::ToStatus() const {
   return Status::Corruption("unknown status code on wire");
 }
 
-ResponseFrame Dispatch(Ledger* ledger, const RequestFrame& request) {
+ResponseFrame Dispatch(Ledger* ledger, const RequestFrame& request,
+                       LedgerGate* gate, LedgerGate::Waits* waits) {
   const auto op = static_cast<uint8_t>(request.op);
   if (!ValidOp(op)) {
     return ResponseFrame::From(request.op, request.request_id,
                                Status::InvalidArgument("unknown rpc op"));
   }
   Bytes body;
-  Status st = kRpcTable[op].handler(ledger, request.body, &body);
+  Status st = kRpcTable[op].handler(ledger, gate, waits, request.body, &body);
   ResponseFrame resp = ResponseFrame::From(request.op, request.request_id, st);
   if (st.ok()) resp.body = std::move(body);
   return resp;
@@ -271,4 +334,5 @@ bool DecodeDeltas(const Bytes& body, std::vector<JournalDelta>* deltas) {
   return pos == body.size();
 }
 
-}  // namespace ledgerdb::wire
+}  // namespace wire
+}  // namespace ledgerdb

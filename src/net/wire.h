@@ -106,10 +106,13 @@ bool ValidOp(uint8_t op);
 /// True if `code` round-trips through Status::Code.
 bool ValidStatusCode(uint8_t code);
 
-/// The shared server dispatch: runs `request` against `ledger` through its
-/// kRpcTable row and builds the response frame. The caller serializes
-/// ledger access. Body codecs live with the table, in net/rpc.h.
-ResponseFrame Dispatch(Ledger* ledger, const RequestFrame& request);
+/// The shared dispatch of the server and LocalTransport: runs `request`
+/// against `ledger` through its kRpcTable row and builds the response
+/// frame. Only the row's Serve stage runs under `gate`'s lock; `waits`
+/// (optional) receives the time the request spent waiting in the gate.
+/// Body codecs live with the table, in net/rpc.h.
+ResponseFrame Dispatch(Ledger* ledger, const RequestFrame& request,
+                       LedgerGate* gate, LedgerGate::Waits* waits = nullptr);
 
 }  // namespace ledgerdb::wire
 

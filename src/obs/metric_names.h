@@ -137,6 +137,7 @@ inline constexpr char kServerQueueDepthCount[] =
 inline constexpr char kServerConnectionsCount[] =
     "ledgerdb_server_connections_count";
 inline constexpr char kServerQueueWaitUs[] = "ledgerdb_server_queue_wait_us";
+inline constexpr char kServerLockWaitUs[] = "ledgerdb_server_lock_wait_us";
 inline constexpr char kServerExecuteUs[] = "ledgerdb_server_execute_us";
 inline constexpr char kServerFlushUs[] = "ledgerdb_server_flush_us";
 inline constexpr char kServerSlowRequestsTotal[] =
@@ -225,6 +226,7 @@ inline constexpr const char* kAll[] = {
     kServerQueueDepthCount,
     kServerConnectionsCount,
     kServerQueueWaitUs,
+    kServerLockWaitUs,
     kServerExecuteUs,
     kServerFlushUs,
     kServerSlowRequestsTotal,

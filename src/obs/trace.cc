@@ -157,8 +157,8 @@ uint64_t RequestLog::slow_threshold_us() const {
 
 void RequestLog::Record(RequestRecord rec) {
   std::lock_guard<std::mutex> lock(mu_);
-  rec.slow = slow_threshold_us_ != 0 &&
-             rec.queue_us + rec.exec_us >= slow_threshold_us_;
+  const uint64_t total_us = rec.queue_us + rec.lock_wait_us + rec.exec_us;
+  rec.slow = slow_threshold_us_ != 0 && total_us >= slow_threshold_us_;
   slots_[next_ % kCapacity] = rec;
   ++next_;
 }
@@ -224,6 +224,7 @@ std::string RequestRecordsToJson(const std::vector<RequestRecord>& records) {
     out += "\", \"trace_id\": " + std::to_string(r.trace_id) +
            ", \"start_us\": " + std::to_string(r.start_us) +
            ", \"queue_us\": " + std::to_string(r.queue_us) +
+           ", \"lock_wait_us\": " + std::to_string(r.lock_wait_us) +
            ", \"exec_us\": " + std::to_string(r.exec_us) +
            ", \"status\": " + std::to_string(r.status) + ", \"shed\": " +
            (r.shed ? "true" : "false") + ", \"deadline_expired\": " +

@@ -35,11 +35,14 @@ inline constexpr Stage kAuditWhat{"audit_what", names::kAuditWhatUs};
 inline constexpr Stage kAuditWhen{"audit_when", names::kAuditWhenUs};
 inline constexpr Stage kAuditWho{"audit_who", names::kAuditWhoUs};
 // Cross-process request stages: a traced RPC decomposes into the
-// client's end-to-end rpc span and the server-side queue-wait, execute,
-// and outbox-flush spans, all stitched by a shared trace_id carried in the
-// wire request frame (net/wire.h).
+// client's end-to-end rpc span and the server-side queue-wait, lock-wait,
+// execute, and outbox-flush spans, all stitched by a shared trace_id
+// carried in the wire request frame (net/wire.h). Lock wait covers the
+// wait for the ledger lock and a receipt's wait for coalesced appends.
 inline constexpr Stage kClientRpc{"client_rpc", names::kNetRpcUs};
 inline constexpr Stage kServerQueue{"server_queue", names::kServerQueueWaitUs};
+inline constexpr Stage kServerLockWait{"server_lock_wait",
+                                       names::kServerLockWaitUs};
 inline constexpr Stage kServerExecute{"server_execute",
                                       names::kServerExecuteUs};
 inline constexpr Stage kServerFlush{"server_flush", names::kServerFlushUs};
@@ -123,11 +126,15 @@ struct RequestRecord {
   uint64_t trace_id = 0;
   uint64_t start_us = 0;  ///< obs::NowUs() at admission (or shed decision)
   uint64_t queue_us = 0;  ///< admission -> worker pickup
-  uint64_t exec_us = 0;   ///< ledger execution under the server mutex
+  /// Waiting for the ledger lock, and a receipt's wait for coalesced
+  /// appends (net/rpc.h LedgerGate).
+  uint64_t lock_wait_us = 0;
+  uint64_t exec_us = 0;   ///< the request's own stages, waits excluded
   uint8_t status = 0;     ///< Status::Code as u8
   bool shed = false;
   bool deadline_expired = false;
-  bool slow = false;  ///< queue_us + exec_us >= the log's slow threshold
+  /// queue_us + lock_wait_us + exec_us >= the log's slow threshold
+  bool slow = false;
 };
 
 /// Bounded ring of per-request structured events, fed by LedgerServer and
@@ -144,7 +151,8 @@ class RequestLog {
 
   static RequestLog& Default();
 
-  /// Requests with queue_us + exec_us at or above this are flagged slow.
+  /// Requests with queue_us + lock_wait_us + exec_us at or above this are
+  /// flagged slow.
   /// 0 disables the flag. Default: 100 ms.
   void SetSlowThresholdUs(uint64_t us);
   uint64_t slow_threshold_us() const;

@@ -14,9 +14,9 @@
 namespace ledgerdb {
 
 /// Append-only record stream — the analog of LedgerDB's "stream file
-/// system" (§II-C). Journals, time journals and the purge survival stream
-/// are each backed by one stream. Records are addressed by their dense
-/// append index.
+/// system" (§II-C). Journals (time and purge journals included) and block
+/// headers are each backed by one stream. Records are addressed by their
+/// dense append index.
 class StreamStore {
  public:
   virtual ~StreamStore() = default;

@@ -107,9 +107,15 @@ TEST(IntegrationTest, FullLifecycleSurvivesEverything) {
   EXPECT_EQ(ledger->ClueRoot(), pre_crash_clue_root);
   EXPECT_EQ(ledger->PurgedBoundary(), 9u);
 
-  // The survivor is retrievable and verifiable... from the ORIGINAL
-  // survival stream, which is ledger-instance state; after recovery the
+  // The purge journal carries the survivor, so recovery rebuilds it; the
   // purged journal itself is gone but its fam slot still proves history.
+  ASSERT_EQ(ledger->SurvivorCount(), 1u);
+  Journal survivor;
+  ASSERT_TRUE(ledger->ReadSurvivor(0, &survivor).ok());
+  FamProof survivor_proof;
+  ASSERT_TRUE(ledger->GetProof(survivor.jsn, &survivor_proof).ok());
+  EXPECT_TRUE(
+      Ledger::VerifyJournalProof(survivor, survivor_proof, ledger->FamRoot()));
   Journal occulted;
   ASSERT_TRUE(ledger->GetJournal(privacy_violation, &occulted).ok());
   EXPECT_TRUE(occulted.occulted);

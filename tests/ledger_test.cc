@@ -470,6 +470,34 @@ TEST_F(PurgeTest, SurvivorsOutliveThePurge) {
   EXPECT_TRUE(Ledger::VerifyJournalProof(survivor, proof, ledger_->FamRoot()));
 }
 
+TEST_F(PurgeTest, SurvivorsOutliveARestart) {
+  LedgerOptions options;
+  options.fractal_height = 4;
+  options.block_capacity = 8;
+  MemoryStreamStore journals, blocks;
+  LedgerStorage storage{&journals, &blocks};
+  ledger_ = std::make_unique<Ledger>("lg://test", options, &clock_, lsp_key_,
+                                     &registry_, storage);
+  for (int i = 0; i < 6; ++i) MustAppend(alice_, "p" + std::to_string(i));
+  Journal kept;
+  ASSERT_TRUE(ledger_->GetJournal(2, &kept).ok());
+  ASSERT_TRUE(ledger_->Purge(5, FullPurgeSigs(5), {2}, nullptr).ok());
+  ASSERT_EQ(ledger_->SurvivorCount(), 1u);
+
+  std::unique_ptr<Ledger> recovered;
+  ASSERT_TRUE(Ledger::Recover("lg://test", options, &clock_, lsp_key_,
+                              &registry_, storage, &recovered)
+                  .ok());
+  ASSERT_EQ(recovered->SurvivorCount(), 1u);
+  Journal survivor;
+  ASSERT_TRUE(recovered->ReadSurvivor(0, &survivor).ok());
+  EXPECT_EQ(survivor.Serialize(), kept.Serialize());
+  FamProof proof;
+  ASSERT_TRUE(recovered->GetProof(survivor.jsn, &proof).ok());
+  EXPECT_TRUE(
+      Ledger::VerifyJournalProof(survivor, proof, recovered->FamRoot()));
+}
+
 TEST_F(PurgeTest, RejectedPurgeCommitsNothing) {
   LedgerOptions options;
   options.fractal_height = 4;

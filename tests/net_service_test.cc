@@ -14,11 +14,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -37,6 +40,8 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/checkpoint.h"
+#include "storage/env.h"
+#include "storage/stream_store.h"
 
 namespace ledgerdb {
 namespace {
@@ -1321,6 +1326,267 @@ TEST_F(NetServiceTest, RequestLogRecordsCompletionsAndSheds) {
   std::string json = obs::RequestRecordsToJson(records);
   EXPECT_NE(json.find("\"shed\": true"), std::string::npos);
   EXPECT_NE(json.find("\"op\": \"GetCommitment\""), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Split dispatch: unlocked prepare/finish around the locked serve, and seal
+// coalescing (LedgerGate, net/rpc.h)
+// ---------------------------------------------------------------------------
+
+TEST_F(NetServiceTest, SplitDispatchConcurrentAppendsStayConsistent) {
+  constexpr int kClients = 8;
+  constexpr int kAppends = 6;
+  std::vector<KeyPair> keys;
+  for (int c = 0; c < kClients; ++c) {
+    keys.push_back(RegisterUser("split-" + std::to_string(c)));
+  }
+  for (int workers : {2, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    MemEnv env;
+    std::unique_ptr<FileStreamStore> jfile, bfile;
+    ASSERT_TRUE(FileStreamStore::Open(&env, "split_j.log", &jfile).ok());
+    ASSERT_TRUE(FileStreamStore::Open(&env, "split_b.log", &bfile).ok());
+    Ledger ledger("lg://net", options_, &clock_, lsp_, &registry_,
+                  {jfile.get(), bfile.get()});
+    const uint64_t before = ledger.NumJournals();
+
+    LedgerServer::Options opts;
+    opts.unix_path = SockPath("split" + std::to_string(workers));
+    opts.num_workers = workers;
+    LedgerServer server(&ledger, opts);
+    ASSERT_TRUE(server.Start().ok());
+
+    std::mutex mu;
+    std::vector<Receipt> receipts;
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    for (int c = 0; c < kClients; ++c) {
+      threads.emplace_back([&, c] {
+        SocketTransport remote(server.address(), "lg://net");
+        LedgerClient client(&remote, keys[c], ClientOptions());
+        for (int i = 0; i < kAppends; ++i) {
+          Receipt receipt;
+          if (!client
+                   .AppendVerified(StringToBytes(std::to_string(c) + "/" +
+                                                 std::to_string(i)),
+                                   {"split"}, nullptr, &receipt)
+                   .ok()) {
+            ++failures;
+            continue;
+          }
+          std::lock_guard<std::mutex> lock(mu);
+          receipts.push_back(receipt);
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    server.Stop();
+    ASSERT_EQ(failures.load(), 0);
+    ASSERT_EQ(receipts.size(), size_t{kClients * kAppends});
+
+    // Dense jsns: the appends took exactly the positions after `before`.
+    std::vector<uint64_t> jsns;
+    for (const Receipt& r : receipts) {
+      EXPECT_TRUE(r.Verify(lsp_.public_key()));
+      jsns.push_back(r.jsn);
+    }
+    std::sort(jsns.begin(), jsns.end());
+    ASSERT_EQ(ledger.NumJournals(), before + jsns.size());
+    for (size_t i = 0; i < jsns.size(); ++i) EXPECT_EQ(jsns[i], before + i);
+
+    // Contiguous blocks, and each receipt names the one block holding its
+    // journal.
+    ASSERT_TRUE(ledger.SealBlock().ok());
+    std::map<uint64_t, Digest> block_of;
+    uint64_t next = 0;
+    for (const BlockHeader& header : ledger.blocks()) {
+      EXPECT_EQ(header.first_jsn, next);
+      EXPECT_GT(header.journal_count, 0u);
+      for (uint32_t k = 0; k < header.journal_count; ++k) {
+        EXPECT_TRUE(block_of.emplace(next + k, header.Hash()).second);
+      }
+      next += header.journal_count;
+    }
+    EXPECT_EQ(next, ledger.NumJournals());
+    for (const Receipt& r : receipts) {
+      EXPECT_EQ(block_of[r.jsn], r.block_hash) << "jsn " << r.jsn;
+    }
+
+    // Recovery from the streams rebuilds the live roots.
+    std::unique_ptr<Ledger> recovered;
+    ASSERT_TRUE(Ledger::Recover("lg://net", options_, &clock_, lsp_,
+                                &registry_, {jfile.get(), bfile.get()},
+                                &recovered)
+                    .ok());
+    EXPECT_EQ(recovered->NumJournals(), ledger.NumJournals());
+    EXPECT_EQ(recovered->FamRoot(), ledger.FamRoot());
+    EXPECT_EQ(recovered->ClueRoot(), ledger.ClueRoot());
+    EXPECT_EQ(recovered->StateRoot(), ledger.StateRoot());
+    EXPECT_EQ(recovered->blocks().size(), ledger.blocks().size());
+  }
+}
+
+TEST_F(NetServiceTest, CoalescingReceiptReturnsWhenTheAppendFails) {
+  LedgerServer::Options opts;
+  opts.unix_path = SockPath("coal");
+  opts.num_workers = 2;
+  LedgerServer server(ledger_.get(), opts);
+  ASSERT_TRUE(server.Start().ok());
+  SocketTransport appender(server.address(), "lg://net");
+  SocketTransport reader(server.address(), "lg://net");
+  SignedCommitment warm;  // connect both before timing anything
+  ASSERT_TRUE(appender.GetCommitment(&warm).ok());
+  ASSERT_TRUE(reader.GetCommitment(&warm).ok());
+
+  const KeyPair stranger = KeyPair::FromSeedString("net-stranger");
+  // A large payload keeps the failing append in its unlocked prepare
+  // (hashing) long enough for the receipt to find it pending.
+  const std::string big(2 << 20, 'x');
+  struct Case {
+    const char* name;
+    std::function<ClientTransaction()> make;
+    Status::Code code;
+  };
+  const std::vector<Case> cases = {
+      {"bad signature",
+       [&] {
+         ClientTransaction tx = SignedTx(big, {});
+         tx.payload.back() ^= 1;  // signed bytes no longer match
+         return tx;
+       },
+       Status::Code::kVerificationFailed},
+      {"unregistered key",
+       [&] {
+         ClientTransaction tx = SignedTx(big, {});
+         tx.Sign(stranger);
+         return tx;
+       },
+       Status::Code::kPermissionDenied},
+      {"wrong ledger uri",
+       [&] {
+         ClientTransaction tx = SignedTx(big, {});
+         tx.ledger_uri = "lg://elsewhere";
+         tx.Sign(alice_);
+         return tx;
+       },
+       Status::Code::kInvalidArgument},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    for (int round = 0; round < 3; ++round) {
+      uint64_t jsn = 0;
+      server.WithLedger([&](Ledger* ledger) {
+        EXPECT_TRUE(ledger->Append(SignedTx("unsealed", {}), &jsn).ok());
+      });
+      ASSERT_TRUE(ledger_->AwaitingSeal(jsn));
+      const uint64_t journals = ledger_->NumJournals();
+      const ClientTransaction bad = c.make();
+      const uint64_t admitted = server.stats().admitted.load();
+      Status append_status;
+      std::thread append([&] {
+        uint64_t ignored = 0;
+        append_status = appender.AppendTx(bad, &ignored);
+      });
+      while (server.stats().admitted.load() == admitted) {
+        std::this_thread::yield();
+      }
+      // Let a worker pick the append up and start decoding it.
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
+      const uint64_t t0 = obs::NowUs();
+      Receipt receipt;
+      Status s = reader.GetReceipt(jsn, &receipt);
+      const uint64_t took_us = obs::NowUs() - t0;
+      append.join();
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      EXPECT_TRUE(receipt.Verify(lsp_.public_key()));
+      EXPECT_LT(took_us, 2'000'000u);
+      EXPECT_EQ(append_status.code(), c.code) << append_status.ToString();
+      // A rejected append leaves the ledger as it was.
+      EXPECT_EQ(ledger_->NumJournals(), journals);
+    }
+  }
+  // The slow-prepare cases give every round a wide window; at least one
+  // receipt must have actually waited behind a failing append.
+  EXPECT_GT(server.stats().coalesced_receipts.load(), 0u);
+  server.Stop();
+}
+
+TEST_F(NetServiceTest, CoalescingReceiptReturnsWhenStopDrains) {
+  LedgerServer::Options opts;
+  opts.unix_path = SockPath("coaldrain");
+  opts.num_workers = 2;
+  LedgerServer server(ledger_.get(), opts);
+  ASSERT_TRUE(server.Start().ok());
+  SocketTransport appender(server.address(), "lg://net");
+  SocketTransport reader(server.address(), "lg://net");
+  SignedCommitment warm;
+  ASSERT_TRUE(appender.GetCommitment(&warm).ok());
+  ASSERT_TRUE(reader.GetCommitment(&warm).ok());
+
+  const uint64_t jsn = AppendDirect("unsealed", {});
+  ASSERT_TRUE(ledger_->AwaitingSeal(jsn));
+  const ClientTransaction slow = SignedTx(std::string(2 << 20, 'y'), {});
+  const uint64_t admitted = server.stats().admitted.load();
+  Status append_status, receipt_status;
+  Receipt receipt;
+  std::thread append([&] {
+    uint64_t ignored = 0;
+    append_status = appender.AppendTx(slow, &ignored);
+  });
+  while (server.stats().admitted.load() == admitted) {
+    std::this_thread::yield();
+  }
+  std::thread read([&] { receipt_status = reader.GetReceipt(jsn, &receipt); });
+  while (server.stats().admitted.load() < admitted + 2) {
+    std::this_thread::yield();
+  }
+  const uint64_t t0 = obs::NowUs();
+  server.Stop();
+  const uint64_t stop_us = obs::NowUs() - t0;
+  append.join();
+  read.join();
+  EXPECT_LT(stop_us, opts.drain_deadline_us + 1'500'000);
+  // Both admitted requests finish within the drain: neither is stuck.
+  EXPECT_TRUE(append_status.ok()) << append_status.ToString();
+  ASSERT_TRUE(receipt_status.ok()) << receipt_status.ToString();
+  EXPECT_TRUE(receipt.Verify(lsp_.public_key()));
+  EXPECT_EQ(server.stats().drain_failed.load(), 0u);
+}
+
+TEST_F(NetServiceTest, LockWaitIsNotCountedAsExecution) {
+  obs::RequestLog::Default().Clear();
+  LedgerServer::Options opts;
+  opts.unix_path = SockPath("lockwait");
+  opts.slow_request_us = 100'000;
+  LedgerServer server(ledger_.get(), opts);
+  ASSERT_TRUE(server.Start().ok());
+  SocketTransport remote(server.address(), "lg://net");
+
+  constexpr uint64_t kHoldUs = 300'000;
+  std::atomic<bool> holding{false};
+  std::thread admin([&] {
+    server.WithLedger([&](Ledger*) {
+      holding = true;
+      std::this_thread::sleep_for(std::chrono::microseconds(kHoldUs));
+    });
+  });
+  while (!holding.load()) std::this_thread::yield();
+  SignedCommitment commitment;
+  Status s = remote.GetCommitment(&commitment);
+  admin.join();
+  server.Stop();
+  ASSERT_TRUE(s.ok()) << s.ToString();
+
+  std::vector<obs::RequestRecord> records =
+      obs::RequestLog::Default().Snapshot();
+  ASSERT_EQ(records.size(), 1u);
+  const obs::RequestRecord& rec = records[0];
+  EXPECT_GE(rec.lock_wait_us, kHoldUs / 2);
+  EXPECT_LT(rec.exec_us, rec.lock_wait_us);
+  // The slow flag still counts the whole time in the server.
+  EXPECT_TRUE(rec.slow);
+  EXPECT_NE(obs::RequestRecordsToJson(records).find("\"lock_wait_us\": "),
+            std::string::npos);
 }
 
 }  // namespace

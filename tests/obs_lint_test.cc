@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <regex>
 #include <set>
 #include <string>
 #include <string_view>
@@ -29,21 +28,59 @@
 namespace ledgerdb {
 namespace {
 
-const std::regex& NameConvention() {
-  // ledgerdb_{subsystem}_{name}_{unit}; unit is one of the four the obs
-  // subsystem documents. Subsystem and name segments are lowercase
-  // alphanumeric words joined by single underscores.
-  static const std::regex* re = new std::regex(
-      "ledgerdb_[a-z0-9]+(_[a-z0-9]+)*_(total|us|bytes|count)");
-  return *re;
+bool IsLowerAlnum(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9');
 }
 
-const std::regex& LabelConvention() {
-  // One {key="value"} clause; keys are lowercase identifiers, values may
-  // carry the CamelCase enum names the net plane reports.
-  static const std::regex* re =
-      new std::regex("\\{[a-z][a-z0-9_]*=\"[A-Za-z0-9_.:-]+\"\\}");
-  return *re;
+/// ledgerdb_{subsystem}_{name}_{unit}; unit is one of the four the obs
+/// subsystem documents. Subsystem and name segments are lowercase
+/// alphanumeric words joined by single underscores.
+bool MatchesNameConvention(std::string_view name) {
+  constexpr std::string_view kPrefix = "ledgerdb_";
+  if (name.substr(0, kPrefix.size()) != kPrefix) return false;
+  std::vector<std::string_view> segments;
+  std::string_view rest = name.substr(kPrefix.size());
+  while (true) {
+    const size_t cut = rest.find('_');
+    segments.push_back(rest.substr(0, cut));
+    if (cut == std::string_view::npos) break;
+    rest.remove_prefix(cut + 1);
+  }
+  for (std::string_view segment : segments) {
+    if (segment.empty()) return false;
+    for (char c : segment) {
+      if (!IsLowerAlnum(c)) return false;
+    }
+  }
+  const std::string_view unit = segments.back();
+  return segments.size() >= 2 &&
+         (unit == "total" || unit == "us" || unit == "bytes" ||
+          unit == "count");
+}
+
+/// One {key="value"} clause; keys are lowercase identifiers, values may
+/// carry the CamelCase enum names the net plane reports.
+bool MatchesLabelConvention(std::string_view clause) {
+  if (clause.size() < 2 || clause.front() != '{' || clause.back() != '}') {
+    return false;
+  }
+  clause = clause.substr(1, clause.size() - 2);
+  const size_t eq = clause.find("=\"");
+  if (eq == std::string_view::npos) return false;
+  const std::string_view key = clause.substr(0, eq);
+  if (key.empty() || key[0] < 'a' || key[0] > 'z') return false;
+  for (char c : key) {
+    if (!IsLowerAlnum(c) && c != '_') return false;
+  }
+  std::string_view value = clause.substr(eq + 2);
+  if (value.size() < 2 || value.back() != '"') return false;
+  value.remove_suffix(1);
+  for (char c : value) {
+    const bool ok = (c >= 'A' && c <= 'Z') || IsLowerAlnum(c) || c == '_' ||
+                    c == '.' || c == ':' || c == '-';
+    if (!ok) return false;
+  }
+  return true;
 }
 
 /// Splits a registered series into base name + optional label clause and
@@ -53,12 +90,12 @@ void LintSeries(const std::string& series,
   size_t brace = series.find('{');
   std::string base =
       brace == std::string::npos ? series : series.substr(0, brace);
-  EXPECT_TRUE(std::regex_match(base, NameConvention()))
+  EXPECT_TRUE(MatchesNameConvention(base))
       << "series violates naming convention: " << series;
   EXPECT_TRUE(catalog.count(base) == 1)
       << "series not in obs::names catalog: " << series;
   if (brace != std::string::npos) {
-    EXPECT_TRUE(std::regex_match(series.substr(brace), LabelConvention()))
+    EXPECT_TRUE(MatchesLabelConvention(series.substr(brace)))
         << "series has malformed label clause: " << series;
   }
 }
@@ -225,9 +262,30 @@ void ExerciseRetryObs() {
 
 TEST(MetricNameLint, CatalogMatchesNamingConvention) {
   for (size_t i = 0; i < obs::names::kAllCount; ++i) {
-    EXPECT_TRUE(std::regex_match(std::string(obs::names::kAll[i]),
-                                 NameConvention()))
+    EXPECT_TRUE(MatchesNameConvention(obs::names::kAll[i]))
         << "catalog name violates convention: " << obs::names::kAll[i];
+  }
+}
+
+TEST(MetricNameLint, ConventionMatchersAcceptAndReject) {
+  for (const char* good :
+       {"ledgerdb_server_lock_wait_us", "ledgerdb_a_total", "ledgerdb_x1_count",
+        "ledgerdb_storage_write_bytes"}) {
+    EXPECT_TRUE(MatchesNameConvention(good)) << good;
+  }
+  for (const char* bad :
+       {"ledgerdb_us", "ledgerdb__a_us", "ledgerdb_a__us", "ledgerdb_a_us_",
+        "ledgerdb_A_us", "ledgerdb_a_ms", "ledger_a_us", "xledgerdb_a_us",
+        "ledgerdb_a-b_us", "ledgerdb_a_total{op=\"x\"}", ""}) {
+    EXPECT_FALSE(MatchesNameConvention(bad)) << bad;
+  }
+  for (const char* good : {"{op=\"AppendTx\"}", "{kind_2=\"a.b:c-d_E\"}"}) {
+    EXPECT_TRUE(MatchesLabelConvention(good)) << good;
+  }
+  for (const char* bad :
+       {"{Op=\"x\"}", "{_op=\"x\"}", "{op=\"\"}", "{op=x}", "{op=\"x\"",
+        "op=\"x\"}", "{op=\"a b\"}", "{=\"x\"}", "{op=\"x\"}{", "{}"}) {
+    EXPECT_FALSE(MatchesLabelConvention(bad)) << bad;
   }
 }
 

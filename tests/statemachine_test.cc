@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "audit/dasein_auditor.h"
@@ -23,6 +24,7 @@ struct DerivedState {
   uint64_t latest_pseudo_genesis = ~0ULL;  // ~0: never purged
   std::vector<Digest> block_hashes;
   std::vector<Bytes> deltas;
+  std::vector<Bytes> survivors;  // serialized bodies, in purge order
 
   static DerivedState Of(const Ledger& ledger) {
     DerivedState d;
@@ -45,6 +47,11 @@ struct DerivedState {
     for (const JournalDelta& delta : deltas) {
       d.deltas.push_back(delta.Serialize());
     }
+    for (uint64_t i = 0; i < ledger.SurvivorCount(); ++i) {
+      Journal survivor;
+      EXPECT_TRUE(ledger.ReadSurvivor(i, &survivor).ok());
+      d.survivors.push_back(survivor.Serialize());
+    }
     return d;
   }
 
@@ -60,6 +67,7 @@ struct DerivedState {
     EXPECT_EQ(latest_pseudo_genesis, live.latest_pseudo_genesis);
     EXPECT_EQ(block_hashes, live.block_hashes);
     EXPECT_EQ(deltas, live.deltas);
+    EXPECT_EQ(survivors, live.survivors);
   }
 };
 
@@ -206,8 +214,22 @@ class StateMachineTest : public ::testing::TestWithParam<uint64_t> {
     Digest req = Ledger::PurgeRequestHash("lg://sm", point);
     std::vector<Endorsement> sigs = {{dba_.public_key(), dba_.Sign(req)},
                                      {user_.public_key(), user_.Sign(req)}};
-    Status s = ledger_->Purge(point, sigs, {}, nullptr);
+    // Keep up to two random journals of the purged range as survivors.
+    std::vector<uint64_t> survivors;
+    for (int i = 0; i < 2; ++i) {
+      auto it = model_.lower_bound(
+          purged_boundary_ + rng_.Uniform(point - purged_boundary_));
+      if (it == model_.end() || it->first >= point) continue;
+      if (std::find(survivors.begin(), survivors.end(), it->first) !=
+          survivors.end()) {
+        continue;
+      }
+      survivors.push_back(it->first);
+    }
+    Status s = ledger_->Purge(point, sigs, survivors, nullptr);
     ASSERT_TRUE(s.ok()) << s.ToString();
+    survivor_model_.insert(survivor_model_.end(), survivors.begin(),
+                           survivors.end());
     for (uint64_t jsn = purged_boundary_; jsn < point; ++jsn) model_.erase(jsn);
     purged_boundary_ = point;
     // The purge appended a pseudo-genesis + purge journal.
@@ -268,6 +290,13 @@ class StateMachineTest : public ::testing::TestWithParam<uint64_t> {
       EXPECT_TRUE(Ledger::VerifyJournalProof(journal, proof, ledger_->FamRoot()))
           << jsn;
     }
+    // Survivors: the kept journals, in purge order.
+    ASSERT_EQ(ledger_->SurvivorCount(), survivor_model_.size());
+    for (size_t i = 0; i < survivor_model_.size(); ++i) {
+      Journal survivor;
+      ASSERT_TRUE(ledger_->ReadSurvivor(i, &survivor).ok());
+      EXPECT_EQ(survivor.jsn, survivor_model_[i]);
+    }
     // Clue postings match the model.
     for (const auto& [clue, jsns] : clue_model_) {
       std::vector<uint64_t> listed;
@@ -293,6 +322,7 @@ class StateMachineTest : public ::testing::TestWithParam<uint64_t> {
   std::map<uint64_t, ModelJournal> model_;
   std::map<uint64_t, ClientTransaction> sent_;  // appended, by jsn
   std::map<std::string, std::vector<uint64_t>> clue_model_;
+  std::vector<uint64_t> survivor_model_;  // jsns kept by purges, in order
   uint64_t purged_boundary_ = 0;
   uint64_t op_counter_ = 0;
 };

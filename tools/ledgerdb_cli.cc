@@ -53,7 +53,8 @@
 // `stats --spans` exports the sampled span ring (stage, start, duration,
 // thread, trace_id/parent_span for cross-process traces) as a JSON array;
 // `stats --slow` exports the per-request event log filtered to requests
-// flagged slow (queue + exec at or above the server's slow threshold).
+// flagged slow (queue + lock wait + exec at or above the server's slow
+// threshold).
 // Both replace the registry snapshot for that tick and are JSON-only.
 
 #include <chrono>
